@@ -112,9 +112,6 @@ class Branch:
     def ts(self) -> np.ndarray:
         return np.array([p.t for p in self.points])
 
-    def norms(self) -> np.ndarray:
-        return np.array([sup_norm(p.u) for p in self.points])
-
 
 @dataclass
 class CriticalReport:
@@ -711,6 +708,19 @@ def _monotone_minimal(ctx: BranchContext, op: DiscreteOperator, t: float,
     return None
 
 
+def _fold_point(ctx: BranchContext, op: DiscreteOperator, params: SolveParams, t: float,
+                u: GridFunction, base_tol: float | None = None) -> BranchPoint:
+    """Branch point for a fold solution found outside ``solve``, reported
+    with its fresh residual against rhs(t) and the conditioning-guarded
+    tolerance; ``base_tol`` defaults to the solver's tolerance for rhs(t)."""
+    f = ctx.rhs(t)
+    resid = float(np.abs(op.apply_flat(u.values) - f.values).max())
+    if base_tol is None:
+        base_tol = params.resolve_tol(sup_norm(f))
+    tol = params.guard_tol(base_tol, op.matrix_scale(), sup_norm(u))
+    return BranchPoint(t, u, 0.0, _tags(u), SolveReport(CONVERGED, 0, [resid], [], tol, resid))
+
+
 def trace_fold(cfg: BranchConfig, ctx: BranchContext | None = None
                ) -> tuple[Branch, Branch, CriticalReport]:
     """Minimal branch, second branch and the fold for lam between the
@@ -735,11 +745,7 @@ def trace_fold(cfg: BranchConfig, ctx: BranchContext | None = None
             prev_t = minimal_points[-1].t if minimal_points else float(t)
             fail_bracket = (float(t), prev_t)
             break
-        resid = float(np.abs(op.apply_flat(u.values) - ctx.rhs(float(t)).values).max())
-        rep = SolveReport(CONVERGED, 0, [resid], [], params.guard_tol(
-            params.resolve_tol(sup_norm(ctx.rhs(float(t)))), op.matrix_scale(), sup_norm(u)),
-            resid)
-        minimal_points.append(BranchPoint(float(t), u, 0.0, _tags(u), rep))
+        minimal_points.append(_fold_point(ctx, op, params, float(t), u))
     minimal_points.sort(key=lambda p: p.t)
 
     if not minimal_points:
@@ -885,12 +891,8 @@ def _continue_in_d(ctx: BranchContext, op: DiscreteOperator, u_start: GridFuncti
         return u, t, False
 
     def emit(u_flat, tv):
-        gf = GridFunction(grid, u_flat, check_finite=False)
-        resid = float(np.abs(residual(u_flat, tv)).max())
-        tol = params.guard_tol(1e-10 * (1.0 + np.abs(u_flat).max()),
-                               op.matrix_scale(), np.abs(u_flat).max())
-        rep0 = SolveReport(CONVERGED, 0, [resid], [], tol, resid)
-        return BranchPoint(tv, gf, 0.0, _tags(gf), rep0)
+        return _fold_point(ctx, op, params, tv, GridFunction(grid, u_flat, check_finite=False),
+                           1e-10 * (1.0 + np.abs(u_flat).max()))
 
     u = u_start.values.copy()
     t = t_start

@@ -89,7 +89,13 @@ def principal_eigen(family: ControlFamily, grid: Grid, sign: str,
     if incl is not None:
         start = np.where(incl, start, 0.0)
     u = GridFunction(grid, start, check_finite=False)
+    return _inverse_iteration(op_plain, op_shifted, sigma, u, sign, incl, params)
 
+
+def _inverse_iteration(op_plain, op_shifted, sigma: float, u: GridFunction, sign: str,
+                       incl: np.ndarray | None, params: EigenParams) -> EigenPair:
+    """Shifted inverse power iteration from the start ``u`` until both the
+    eigenvalue and the residual settle; every failure raises."""
     lam = np.inf
     trace = []
     inner = SolveParams()
@@ -193,7 +199,8 @@ def simplicity_probe(family: ControlFamily, grid: Grid, n_starts: int = 5,
                      seed: int = 0, tol: float = 1e-6,
                      params: EigenParams | None = None) -> dict:
     """Run inverse iteration from distinct seeded positive starts and
-    measure the spread of the limits (discrete simplicity evidence)."""
+    measure the spread of the limits (discrete simplicity evidence).
+    A start that does not converge raises ``EigenIterationError``."""
     params = params or EigenParams()
     rng = np.random.default_rng(seed)
     sigma = params.resolve_shift(family)
@@ -204,20 +211,9 @@ def simplicity_probe(family: ControlFamily, grid: Grid, n_starts: int = 5,
     for _ in range(n_starts):
         vals = 0.1 + rng.random(grid.num_nodes)
         u = GridFunction(grid, vals / vals.max(), check_finite=False)
-        lam = np.inf
-        for it in range(1, params.max_iters + 1):
-            w, rep = solve(op_shifted, -u, params=SolveParams())
-            if rep.status != CONVERGED:
-                raise EigenIterationError(f"inner solve failed: {rep.status}")
-            nrm = sup_norm(w)
-            lam_new = 1.0 / nrm - sigma
-            u = w * (1.0 / nrm)
-            resid = float(np.abs(op_plain.apply_flat(u.values) + lam_new * u.values).max())
-            if abs(lam_new - lam) <= params.tol and resid <= params.residual_tol:
-                break
-            lam = lam_new
-        limits.append(u)
-        iters.append(it)
+        pair = _inverse_iteration(op_plain, op_shifted, sigma, u, "+", None, params)
+        limits.append(pair.phi)
+        iters.append(pair.iters)
     spread = max(sup_norm(a - b) for a in limits for b in limits)
     return {"spread": spread, "tol": tol, "passed": spread <= tol,
             "n_starts": n_starts, "iters": iters}

@@ -76,9 +76,6 @@ class Grid:
         vals = np.asarray(fn(self.coords()), dtype=float).reshape(self.num_nodes)
         return GridFunction(self, vals)
 
-    def measure(self) -> float:
-        return float(np.prod([b - a for a, b in self.extents]))
-
     def quad_weight(self) -> float:
         """Per-node quadrature weight h^dim."""
         return float(np.prod(self.h))
@@ -207,7 +204,6 @@ class SubdomainMask:
 
     grid: Grid
     included: np.ndarray
-    connected: bool = True
 
     def __post_init__(self):
         inc = np.asarray(self.included, dtype=bool).reshape(-1)
@@ -221,9 +217,6 @@ class SubdomainMask:
     @property
     def is_full(self) -> bool:
         return bool(self.included.all())
-
-    def excluded_fraction(self) -> float:
-        return 1.0 - float(self.included.sum()) / self.included.size
 
 
 def restrict_to_mask(u: GridFunction, m: SubdomainMask) -> GridFunction:

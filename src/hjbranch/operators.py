@@ -196,25 +196,9 @@ class ControlFamily:
             return 0.0
         return max(c.zeroth for c in self.controls)
 
-    def mirrored_kind(self) -> str:
-        return {"pucci_plus": "pucci_minus", "pucci_minus": "pucci_plus"}.get(self.kind, self.kind)
-
-    def describe(self) -> dict:
-        out = {"kind": self.kind, "dim": self.dim, "envelope": vars(self.envelope).copy()}
-        if self.kind in ("linear", "finite_sup", "fucik"):
-            out["controls"] = [
-                {"diffusion": list(map(list, c.diffusion)), "drift": list(c.drift), "zeroth": c.zeroth}
-                for c in self.controls
-            ]
-        if self.fucik_weights is not None:
-            out["fucik_weights"] = list(self.fucik_weights)
-        if self.pucci_bounds is not None:
-            out["pucci_bounds"] = list(self.pucci_bounds)
-        return out
-
 
 # ---------------------------------------------------------------------------
-# stencil machinery
+# stencil core
 # ---------------------------------------------------------------------------
 
 
@@ -222,116 +206,107 @@ def _neighbor_views(grid: Grid, flat: np.ndarray):
     """Zero-padded neighbour values per axis: list of (plus, minus) flat arrays."""
     U = flat.reshape(grid.shape)
     out = []
-    if grid.dim == 1:
-        plus = np.empty_like(U)
-        minus = np.empty_like(U)
-        plus[:-1] = U[1:]
-        plus[-1] = 0.0
-        minus[1:] = U[:-1]
-        minus[0] = 0.0
+    for ax in range(grid.dim):
+        lead = (slice(None),) * ax
+        plus = np.zeros_like(U)
+        minus = np.zeros_like(U)
+        plus[lead + (slice(None, -1),)] = U[lead + (slice(1, None),)]
+        minus[lead + (slice(1, None),)] = U[lead + (slice(None, -1),)]
         out.append((plus.ravel(), minus.ravel()))
-    else:
-        for ax in range(2):
-            plus = np.zeros_like(U)
-            minus = np.zeros_like(U)
-            if ax == 0:
-                plus[:-1, :] = U[1:, :]
-                minus[1:, :] = U[:-1, :]
-            else:
-                plus[:, :-1] = U[:, 1:]
-                minus[:, 1:] = U[:, :-1]
-            out.append((plus.ravel(), minus.ravel()))
     return out
 
 
-def _connection_masks(grid: Grid, included: np.ndarray | None):
-    """Per axis: boolean flat arrays marking nodes with a living + neighbour."""
-    masks = []
-    if grid.dim == 1:
-        n = grid.n[0]
-        conn = np.ones(n, dtype=bool)
-        conn[-1] = False
-    else:
-        nx, ny = grid.n
-        idx = np.arange(nx * ny)
-        conn_x = (idx // ny) < nx - 1
-        conn_y = (idx % ny) < ny - 1
-    if grid.dim == 1:
-        axis_conns = [conn]
-    else:
-        axis_conns = [conn_x, conn_y]
-    strides = _axis_strides(grid)
-    for ax, conn in enumerate(axis_conns):
-        conn = conn.copy()
-        if included is not None:
-            s = strides[ax]
-            ok = np.zeros_like(conn)
-            ok[conn] = included[np.nonzero(conn)[0]] & included[np.nonzero(conn)[0] + s]
-            conn = ok
-        masks.append(conn)
-    return masks
+class _Stencil:
+    """The monotone stencil of one operator, built once from the family,
+    the grid, the shift and the mask; apply, linearize and both matrix
+    forms all read it.
 
+    Per control (m of them): diagonal diffusion and split drift
+    b+ = max(b, 0), b- = min(b, 0), each (m, dim), and the zeroth-order
+    coefficient (m,); from those the frozen-control weights, per axis the
+    links up (to k+s) and low (to k-s) and the diagonal including the
+    shift. Per axis with stride s: the gate of length N - s marking the
+    linked pairs (k, k+s), i.e. both nodes on one grid line and both
+    included. The extremal kinds have no controls; their weights depend
+    on the argument, and ``pucci`` holds the weights of the second
+    difference where it is >= 0 and where it is < 0 (None for the other
+    kinds).
+    """
 
-def _axis_strides(grid: Grid) -> list[int]:
-    if grid.dim == 1:
-        return [1]
-    return [grid.n[1], 1]
+    def __init__(self, family: ControlFamily, grid: Grid, shift: float,
+                 included: np.ndarray | None):
+        m, dim = len(family.controls), grid.dim
+        self.diffusion = np.array([c.diag_diffusion() for c in family.controls]).reshape(m, dim)
+        drift = np.array([c.drift for c in family.controls]).reshape(m, dim)
+        self.b_plus = np.maximum(drift, 0.0)
+        self.b_minus = np.minimum(drift, 0.0)
+        self.zeroth = np.array([c.zeroth for c in family.controls])
+        # controls that upwind forward (b > 0) and backward (b < 0) per axis
+        self.upwind = [(np.flatnonzero(self.b_plus[:, ax] > 0),
+                        np.flatnonzero(self.b_minus[:, ax] < 0)) for ax in range(dim)]
+        self.pucci = None
+        if family.kind in ("pucci_plus", "pucci_minus"):
+            lam, Lam = family.pucci_bounds
+            self.pucci = (Lam, lam) if family.kind == "pucci_plus" else (lam, Lam)
+        self.diag = shift + self.zeroth
+        self.links = []
+        for ax in range(dim):
+            h = grid.h[ax]
+            w, bp, bm = self.diffusion[:, ax], self.b_plus[:, ax], self.b_minus[:, ax]
+            self.links.append((w / h**2 + bp / h, w / h**2 - bm / h))
+            self.diag = self.diag + (-2.0 * w / h**2 - (bp - bm) / h)
+
+        self.strides = [int(np.prod(grid.n[ax + 1:])) for ax in range(dim)]
+        self.gates = []
+        for ax, s in enumerate(self.strides):
+            # the last node of each grid line along ax has no + neighbour
+            gate = np.ones(grid.shape, dtype=bool)
+            gate[(slice(None),) * ax + (-1,)] = False
+            gate = gate.ravel()[:-s]
+            if included is not None:
+                gate &= included[:-s] & included[s:]
+            self.gates.append(gate)
+
+    def bands(self, links: list[tuple[np.ndarray, np.ndarray]]) -> list:
+        """Gate per-node (up, low) link weights into per-axis (upper, lower)
+        bands: upper[k] is the entry (k, k+s), lower[k] the entry (k+s, k),
+        and both are 0 where the pair is not linked."""
+        return [(np.where(gate, up[:-s], 0.0), np.where(gate, low[s:], 0.0))
+                for s, gate, (up, low) in zip(self.strides, self.gates, links)]
 
 
 class Linearization:
     """Frozen-control linear map L with L u = apply(op, u) at the base point.
 
-    Provides a direct solve: banded in 1D, sparse LU in 2D. Excluded
-    (masked) nodes carry identity rows.
+    Held as the diagonal plus one gated (upper, lower) band pair per axis
+    (see ``_Stencil.bands``); the banded solve (1D) and the sparse matrix
+    (2D) are both built from these bands. Excluded (masked) nodes carry
+    identity rows.
     """
 
     def __init__(self, grid: Grid, included: np.ndarray | None, diag: np.ndarray,
-                 axis_links: list[tuple[np.ndarray, np.ndarray]], active: np.ndarray):
+                 bands: list[tuple[np.ndarray, np.ndarray]], active: np.ndarray):
         self.grid = grid
         self.included = included
         self.active = active
         self.diag = diag
-        self.axis_links = axis_links  # per axis (up_coef, low_coef), ungated
-        self._conn = _connection_masks(grid, included)
+        self.bands = bands
         self._matrix = None
         self._banded = None
         self._lu = None
 
     @property
-    def matrix(self) -> scipy.sparse.csr_matrix:
+    def matrix(self) -> scipy.sparse.csc_matrix:
+        """L in CSC form, exact zeros dropped."""
         if self._matrix is None:
-            n = self.grid.num_nodes
-            strides = _axis_strides(self.grid)
-            diags = [self.diag]
-            offsets = [0]
-            for ax, (up, low) in enumerate(self.axis_links):
-                s = strides[ax]
-                conn = self._conn[ax]
-                up_g = np.where(conn, up, 0.0)
-                low_g = np.where(conn, low, 0.0)
-                # offset +s: entry (k, k+s) = up_g[k]; diags wants length n-s
-                diags.append(up_g[: n - s])
-                offsets.append(s)
-                # offset -s: entry (k+s, k) = low_g[k+s] gated by conn[k]
-                low_row = low[s:]
-                diags.append(np.where(conn[: n - s], low_row, 0.0))
-                offsets.append(-s)
-            self._matrix = scipy.sparse.diags(diags, offsets, format="csr")
+            N = self.grid.num_nodes
+            diagonals, offsets = [self.diag], [0]
+            for upper, lower in self.bands:
+                s = N - upper.size  # the band at offset s has N - s entries
+                diagonals += [upper, lower]
+                offsets += [s, -s]
+            self._matrix = scipy.sparse.diags(diagonals, offsets, format="csc")
         return self._matrix
-
-    def matvec(self, flat: np.ndarray) -> np.ndarray:
-        return self.matrix.dot(flat)
-
-    def offdiag_min(self) -> float:
-        """Smallest off-diagonal stencil weight (monotonicity check)."""
-        worst = np.inf
-        for ax, (up, low) in enumerate(self.axis_links):
-            conn = self._conn[ax]
-            if conn.any():
-                worst = min(worst, float(up[conn].min()))
-                s = _axis_strides(self.grid)[ax]
-                worst = min(worst, float(low[s:][conn[: self.grid.num_nodes - s]].min()))
-        return 0.0 if worst is np.inf else worst
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
@@ -339,21 +314,16 @@ class Linearization:
             rhs = np.where(self.included, rhs, 0.0)
         if self.grid.dim == 1:
             if self._banded is None:
-                n = self.grid.num_nodes
-                up, low = self.axis_links[0]
-                conn = self._conn[0]
-                ab = np.zeros((3, n))
+                upper, lower = self.bands[0]
+                ab = np.zeros((3, self.grid.num_nodes))
+                ab[0, 1:] = upper
                 ab[1] = self.diag
-                up_g = np.where(conn, up, 0.0)
-                low_g = np.zeros(n)
-                low_g[1:] = np.where(conn[:-1], low[1:], 0.0)
-                ab[0, 1:] = up_g[:-1]
-                ab[2, :-1] = low_g[1:]
+                ab[2, :-1] = lower
                 self._banded = ab
             sol = scipy.linalg.solve_banded((1, 1), self._banded, rhs)
         else:
             if self._lu is None:
-                self._lu = scipy.sparse.linalg.splu(self.matrix.tocsc())
+                self._lu = scipy.sparse.linalg.splu(self.matrix)
             sol = self._lu.solve(rhs)
         if not np.all(np.isfinite(sol)):
             raise scipy.linalg.LinAlgError("non-finite solution from direct solve")
@@ -369,6 +339,7 @@ class DiscreteOperator:
     shift: float = 0.0
     mask: SubdomainMask | None = None
     _incl: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
+    _stencil: _Stencil = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family.dim != self.grid.dim:
@@ -383,7 +354,9 @@ class DiscreteOperator:
             )
         if self.mask is not None and self.mask.grid != self.grid:
             raise ConfigurationError("mask grid mismatch")
-        object.__setattr__(self, "_incl", None if self.mask is None else self.mask.included)
+        incl = None if self.mask is None else self.mask.included
+        object.__setattr__(self, "_incl", incl)
+        object.__setattr__(self, "_stencil", _Stencil(self.family, self.grid, self.shift, incl))
 
     # -- evaluation ----------------------------------------------------
 
@@ -392,47 +365,37 @@ class DiscreteOperator:
             return flat
         return np.where(self._incl, flat, 0.0)
 
-    def _second_diffs(self, flat: np.ndarray) -> list[np.ndarray]:
-        views = _neighbor_views(self.grid, flat)
-        return [
-            (plus - 2.0 * flat + minus) / self.grid.h[ax] ** 2
-            for ax, (plus, minus) in enumerate(views)
-        ]
+    def _differences(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per axis (plus, minus, plus - 2u + minus): the neighbour values
+        and the undivided second difference."""
+        return [(plus, minus, plus - 2.0 * flat + minus)
+                for plus, minus in _neighbor_views(self.grid, flat)]
 
     def _control_values(self, flat: np.ndarray) -> np.ndarray:
-        """(n_controls, N) array of L_a u over the control list."""
-        views = _neighbor_views(self.grid, flat)
-        h = self.grid.h
-        vals = np.empty((len(self.family.controls), flat.size))
-        for j, ctrl in enumerate(self.family.controls):
-            acc = ctrl.zeroth * flat
-            diag = ctrl.diag_diffusion()
-            for ax, (plus, minus) in enumerate(views):
-                acc = acc + diag[ax] * (plus - 2.0 * flat + minus) / h[ax] ** 2
-                b = ctrl.drift[ax]
-                if b > 0:
-                    acc = acc + b * (plus - flat) / h[ax]
-                elif b < 0:
-                    acc = acc + b * (flat - minus) / h[ax]
-            vals[j] = acc
+        """(n_controls, N) array of L_a u, vectorized over the control list."""
+        st = self._stencil
+        vals = st.zeroth[:, None] * flat
+        for ax, (plus, minus, second) in enumerate(self._differences(flat)):
+            h = self.grid.h[ax]
+            vals = vals + st.diffusion[:, ax, None] * second / h**2
+            fwd, bwd = st.upwind[ax]
+            if fwd.size:
+                vals[fwd] += st.b_plus[fwd, ax, None] * (plus - flat) / h
+            if bwd.size:
+                vals[bwd] += st.b_minus[bwd, ax, None] * (flat - minus) / h
         return vals
 
     def apply_flat(self, flat: np.ndarray) -> np.ndarray:
         flat = self._masked(np.asarray(flat, dtype=float))
-        kind = self.family.kind
-        if kind in ("linear", "finite_sup", "fucik"):
+        if self._stencil.pucci is None:
             vals = self._control_values(flat)
             out = vals.max(axis=0) + self.shift * flat
         else:
-            lam, Lam = self.family.pucci_bounds
+            w_pos, w_neg = self._stencil.pucci
             acc = np.zeros_like(flat)
-            for d2 in self._second_diffs(flat):
-                pos = np.maximum(d2, 0.0)
-                neg = np.maximum(-d2, 0.0)
-                if kind == "pucci_plus":
-                    acc += Lam * pos - lam * neg
-                else:
-                    acc += lam * pos - Lam * neg
+            for ax, (_, _, second) in enumerate(self._differences(flat)):
+                d2 = second / self.grid.h[ax] ** 2
+                acc += w_pos * np.maximum(d2, 0.0) - w_neg * np.maximum(-d2, 0.0)
             out = acc + self.shift * flat
         if self._incl is not None:
             out = np.where(self._incl, out, 0.0)
@@ -451,51 +414,26 @@ class DiscreteOperator:
         difference is exactly zero.
         """
         flat = self._masked(u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float))
-        N = flat.size
-        h = self.grid.h
-        kind = self.family.kind
-        if kind in ("linear", "finite_sup", "fucik"):
-            vals = self._control_values(flat)
-            active = np.argmax(vals, axis=0)
-            diff_sel = np.empty((self.grid.dim, N))
-            drift_sel = np.empty((self.grid.dim, N))
-            zero_sel = np.empty(N)
-            diffs = np.array([c.diag_diffusion() for c in self.family.controls])
-            drifts = np.array([list(c.drift) for c in self.family.controls])
-            zeros_ = np.array([c.zeroth for c in self.family.controls])
-            for ax in range(self.grid.dim):
-                diff_sel[ax] = diffs[active, ax]
-                drift_sel[ax] = drifts[active, ax]
-            zero_sel = zeros_[active]
+        st = self._stencil
+        if st.pucci is None:
+            active = np.argmax(self._control_values(flat), axis=0)
+            diag = st.diag[active]
+            links = [(up[active], low[active]) for up, low in st.links]
         else:
-            lam, Lam = self.family.pucci_bounds
-            d2s = self._second_diffs(flat)
-            diff_sel = np.empty((self.grid.dim, N))
-            drift_sel = np.zeros((self.grid.dim, N))
-            zero_sel = np.zeros(N)
-            active = np.zeros(N, dtype=int)
-            for ax, d2 in enumerate(d2s):
-                upper = d2 >= 0.0
-                if kind == "pucci_plus":
-                    diff_sel[ax] = np.where(upper, Lam, lam)
-                else:
-                    diff_sel[ax] = np.where(upper, lam, Lam)
+            w_pos, w_neg = st.pucci
+            diag = np.full(flat.size, self.shift)
+            active = np.zeros(flat.size, dtype=int)
+            links = []
+            for ax, (_, _, second) in enumerate(self._differences(flat)):
+                h2 = self.grid.h[ax] ** 2
+                upper = second / h2 >= 0.0
+                w = np.where(upper, w_pos, w_neg)
+                links.append((w / h2, w / h2))
+                diag += -2.0 * w / h2
                 active = active | (upper.astype(int) << ax)
-        diag = np.full(N, self.shift)
-        diag += zero_sel
-        axis_links = []
-        for ax in range(self.grid.dim):
-            w = diff_sel[ax]
-            b = drift_sel[ax]
-            bp = np.maximum(b, 0.0)
-            bm = np.minimum(b, 0.0)
-            up = w / h[ax] ** 2 + bp / h[ax]
-            low = w / h[ax] ** 2 - bm / h[ax]
-            diag += -2.0 * w / h[ax] ** 2 - (bp - bm) / h[ax]
-            axis_links.append((up, low))
         if self._incl is not None:
             diag = np.where(self._incl, diag, 1.0)
-        return Linearization(self.grid, self._incl, diag, axis_links, active)
+        return Linearization(self.grid, self._incl, diag, st.bands(links), active)
 
     def with_shift(self, shift: float) -> "DiscreteOperator":
         return DiscreteOperator(self.family, self.grid, shift, self.mask)
@@ -603,7 +541,8 @@ def check_h0_h3(op: DiscreteOperator, trials: int = 100, seed: int = 0,
     inequality and the extremal-envelope sandwich on seeded random pairs.
 
     Convex kinds are checked as sup-forms; the inf-type ``pucci_minus``
-    is checked with the mirrored (super-additive) orientation.
+    is checked with the mirrored (super-additive) orientation. The random
+    pairs vanish at masked-out nodes, where the operator reads zero.
     """
     if trials < 1:
         raise UsageError("trials must be >= 1")
@@ -613,8 +552,8 @@ def check_h0_h3(op: DiscreteOperator, trials: int = 100, seed: int = 0,
     convex = op.family.is_convex
     worst = dict(h=0.0, a=0.0, m=0.0, s=0.0)
     for _ in range(trials):
-        u = rng.standard_normal(N)
-        v = rng.standard_normal(N)
+        u = op._masked(rng.standard_normal(N))
+        v = op._masked(rng.standard_normal(N))
         t = abs(rng.standard_normal()) + 0.1
         k = rng.uniform(0.0, 1.0)
         Fu = op.apply_flat(u)

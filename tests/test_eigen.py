@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import discrete_lam1
-from hjbranch.errors import BracketError
+from hjbranch.errors import BracketError, EigenIterationError
 from hjbranch.eigen import (
     EigenParams,
     eigen_bisect_crosscheck,
@@ -131,6 +131,12 @@ def test_simplicity_probe(grid199):
     probe = simplicity_probe(ControlFamily.fucik(5.0), grid199, n_starts=5, seed=3)
     assert probe["passed"]
     assert probe["spread"] <= 1e-6
+
+
+def test_simplicity_probe_unconverged_start_raises(grid199):
+    with pytest.raises(EigenIterationError):
+        simplicity_probe(ControlFamily.fucik(5.0), grid199, n_starts=2,
+                         params=EigenParams(max_iters=3))
 
 
 def test_hopf_boundary_positivity(grid199):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import discrete_lam1
 from hjbranch.errors import AdmissibilityError, ConfigurationError
-from hjbranch.grids import GridFunction, build_grid, sup_norm
+from hjbranch.grids import Grid, GridFunction, SubdomainMask, build_grid, half_domain_mask, sup_norm
 from hjbranch.operators import (
     ControlCoeffs,
     ControlFamily,
@@ -25,6 +28,44 @@ FAMILIES = {
         ((2.0,), (-0.5,), -0.25),
     ]),
 }
+
+FAMILIES_2D = {
+    "linear": ControlFamily.laplacian(dim=2),
+    "fucik": ControlFamily.fucik(5.0, dim=2),
+    "pucci_plus": ControlFamily.pucci_plus(1.0, 2.0, dim=2),
+    "pucci_minus": ControlFamily.pucci_minus(1.0, 2.0, dim=2),
+    "finite_sup": ControlFamily.finite_sup([
+        (np.diag([1.0, 2.0]), (0.5, -0.3), -1.0),
+        (np.diag([1.5, 1.0]), (-0.7, 0.0), 0.5),
+        (np.diag([1.2, 1.2]), (0.0, 0.9), 0.1),
+    ]),
+}
+
+STENCILS = {
+    1: (build_grid(1, (0.0, 1.0), 199), FAMILIES),
+    2: (build_grid(2, ((0.0, 1.0), (0.0, 2.0)), (15, 11)), FAMILIES_2D),
+}
+
+
+def stencil_cases(dim, masked, shift, seed):
+    """(operator, masked random argument) for every family of one dimension."""
+    grid, families = STENCILS[dim]
+    mask = half_domain_mask(grid) if masked else None
+    rng = np.random.default_rng(seed)
+    for fam in families.values():
+        u = rng.standard_normal(grid.num_nodes)
+        if mask is not None:
+            u = np.where(mask.included, u, 0.0)
+        yield DiscreteOperator(fam, grid, shift, mask), u
+
+
+def assert_monotone_links(lin):
+    """Off-diagonal weights are nonnegative and no link touches an excluded node."""
+    M = lin.matrix.tocoo()
+    off = M.row != M.col
+    assert M.data[off].min(initial=0.0) >= 0.0
+    if lin.included is not None:
+        assert lin.included[M.row[off]].all() and lin.included[M.col[off]].all()
 
 
 def test_apply_laplacian_matches_discrete_eigenvalue(grid199, laplacian, sine, lam_h199):
@@ -73,25 +114,77 @@ def test_linearize_pucci_sign_split(grid199):
     u = GridFunction(grid199, np.sin(2 * np.pi * x))  # convex and concave halves
     op = DiscreteOperator(ControlFamily.pucci_plus(1.0, 2.0), grid199, 0.0)
     lin = op.linearize(u)
-    d2 = op._second_diffs(u.values)[0]
+    padded = np.concatenate(([0.0], u.values, [0.0]))
+    d2 = padded[2:] - 2.0 * padded[1:-1] + padded[:-2]
     assert np.array_equal(lin.active == 1, d2 >= 0)
 
 
-def test_linearize_matches_apply(grid199):
-    rng = np.random.default_rng(3)
-    for fam in FAMILIES.values():
-        op = DiscreteOperator(fam, grid199, 0.35)
-        u = rng.standard_normal(grid199.num_nodes)
+@pytest.mark.parametrize("masked", [False, True], ids=["full", "half"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_linearize_matches_apply(dim, masked):
+    for op, u in stencil_cases(dim, masked, 0.35, 3):
         lin = op.linearize(u)
-        assert np.abs(lin.matvec(u) - op.apply_flat(u)).max() <= 1e-9
+        assert np.abs(lin.matrix @ u - op.apply_flat(u)).max() <= 1e-9
 
 
-def test_monotone_stencil_offdiagonals(grid199):
-    rng = np.random.default_rng(4)
-    for fam in FAMILIES.values():
-        op = DiscreteOperator(fam, grid199, 0.0)
-        u = rng.standard_normal(grid199.num_nodes)
-        assert op.linearize(u).offdiag_min() >= 0.0
+@pytest.mark.parametrize("masked", [False, True], ids=["full", "half"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_monotone_stencil_offdiagonals(dim, masked):
+    for op, u in stencil_cases(dim, masked, 0.0, 4):
+        assert_monotone_links(op.linearize(u))
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["full", "half"])
+def test_banded_solve_matches_sparse_matrix(masked):
+    rng = np.random.default_rng(8)
+    for op, u in stencil_cases(1, masked, -3.0, 5):
+        lin = op.linearize(u)
+        rhs = rng.standard_normal(op.grid.num_nodes)
+        if masked:
+            rhs = np.where(op.mask.included, rhs, 0.0)
+        ref = scipy.sparse.linalg.spsolve(lin.matrix, rhs)
+        assert np.abs(lin.solve(rhs) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@st.composite
+def finite_sup_operators(draw):
+    """Random small grid, random finite_sup family passing the CFL check,
+    random mask and shift."""
+    dim = draw(st.integers(1, 2))
+    n = tuple(draw(st.integers(3, 8)) for _ in range(dim))
+    extents = tuple((0.0, draw(st.floats(0.5, 3.0))) for _ in range(dim))
+    grid = Grid(dim, extents, n)
+    coeff = st.floats(-2.0, 2.0, allow_subnormal=False)
+    controls = [
+        (np.diag([draw(st.floats(0.2, 3.0)) for _ in range(dim)]),
+         [draw(coeff) for _ in range(dim)], draw(coeff))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    included = np.array(draw(st.lists(st.booleans(), min_size=grid.num_nodes,
+                                      max_size=grid.num_nodes)))
+    assume(included.any())
+    mask = None if included.all() else SubdomainMask(grid, included)
+    try:
+        op = DiscreteOperator(ControlFamily.finite_sup(controls), grid,
+                              draw(st.floats(-5.0, 5.0)), mask)
+    except AdmissibilityError:
+        assume(False)
+    return op, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_sup_operators())
+def test_random_stencil_matrix_apply_and_algebra(case):
+    op, seed = case
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(op.grid.num_nodes)
+    if op.mask is not None:
+        u = np.where(op.mask.included, u, 0.0)
+    lin = op.linearize(u)
+    scale = op.matrix_scale() * np.abs(u).max()
+    assert np.abs(lin.matrix @ u - op.apply_flat(u)).max() <= 1e-9 * scale
+    assert_monotone_links(lin)
+    assert check_h0_h3(op, trials=10, seed=seed).passed
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
