@@ -29,7 +29,6 @@ from .branches import (
 from .checks import CheckResult, CheckSpec, default_suite, emit_traceability, run_suite
 from .eigen import (
     EigenPair,
-    EigenParams,
     eigen_bisect_crosscheck,
     mirrored_plus_eigen,
     principal_eigen,
@@ -49,7 +48,6 @@ from .grids import (
     sup_norm,
 )
 from .howard import (
-    SolveParams,
     SolveReport,
     basin_census,
     check_abp,
@@ -70,8 +68,8 @@ __all__ = [
     "__version__",
     "AT_LAM_MINUS", "AT_LAM_PLUS", "Branch", "BranchConfig", "BranchPoint",
     "CheckResult", "CheckSpec", "ControlCoeffs", "ControlFamily",
-    "CriticalReport", "DiscreteOperator", "EigenPair", "EigenParams",
-    "Envelope", "Grid", "GridFunction", "MirroredOperator", "SolveParams",
+    "CriticalReport", "DiscreteOperator", "EigenPair",
+    "Envelope", "Grid", "GridFunction", "MirroredOperator",
     "SolveReport", "SubdomainMask", "basin_census", "build_grid",
     "check_abp", "check_comparison", "check_h0_h3", "default_suite",
     "eigen_bisect_crosscheck", "eigen_bump", "emit_traceability",

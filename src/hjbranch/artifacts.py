@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import GridFunction
+from .grids import GridFunction, direction_cosine
 
 
 def fmt(x) -> str:
@@ -83,13 +83,9 @@ def write_grid_function(path, u: GridFunction) -> None:
 
 def branch_rows(branch, phi=None):
     for p in branch.points:
-        cos = ""
-        if phi is not None:
-            a, b = p.u.values, phi.values
-            na, nb = np.linalg.norm(a), np.linalg.norm(b)
-            cos = float(np.dot(a, b) / (na * nb)) if na > 0 and nb > 0 else 0.0
+        cos = 0.0 if phi is None else direction_cosine(p.u, phi)
         yield (p.t, p.d, float(np.abs(p.u.values).max()), p.u.min(), p.u.max(),
-               "|".join(sorted(p.regime_tags)), cos if cos != "" else 0.0)
+               "|".join(sorted(p.regime_tags)), cos)
 
 
 def write_branch(path, branch, phi=None) -> None:

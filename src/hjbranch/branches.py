@@ -39,7 +39,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .eigen import EigenParams, principal_eigen
+from .eigen import principal_eigen
 from .errors import (
     BracketError,
     ConfigurationError,
@@ -48,13 +48,22 @@ from .errors import (
     RegimeError,
     UnstableDetectionError,
 )
-from .grids import Grid, GridFunction, eigen_bump, signed_distance, sup_norm
+from .grids import (
+    Grid,
+    GridFunction,
+    direction_cosine,
+    eigen_bump,
+    signed_distance,
+    sup_norm,
+)
 from .howard import (
+    BLOWUP_NORM,
     CONVERGED,
     DIVERGED,
-    SolveParams,
     SolveReport,
     basin_census,
+    guard_tol,
+    resolve_tol,
     solve,
     solve_with_starts,
 )
@@ -78,7 +87,6 @@ class BranchConfig:
     h_fun: GridFunction | None = None
     lam_offset: float = 0.0
     resonance_seq: tuple[float, ...] = DEFAULT_RESONANCE_SEQ
-    seed: int = 0
     strict: bool = True
 
     def __post_init__(self):
@@ -109,9 +117,6 @@ class Branch:
     lam: float
     diagnostics: dict = field(default_factory=dict)
 
-    def ts(self) -> np.ndarray:
-        return np.array([p.t for p in self.points])
-
 
 @dataclass
 class CriticalReport:
@@ -130,12 +135,12 @@ class CriticalReport:
 class BranchContext:
     """Resolved spectral data shared by the exploration modes."""
 
-    def __init__(self, cfg: BranchConfig, eigen_params: EigenParams | None = None):
+    def __init__(self, cfg: BranchConfig):
         self.cfg = cfg
         self.grid = cfg.grid
         self.family = cfg.family
-        self.eig_plus = principal_eigen(cfg.family, cfg.grid, "+", params=eigen_params)
-        self.eig_minus = principal_eigen(cfg.family, cfg.grid, "-", params=eigen_params)
+        self.eig_plus = principal_eigen(cfg.family, cfg.grid, "+")
+        self.eig_minus = principal_eigen(cfg.family, cfg.grid, "-")
         self.h = cfg.h_fun if cfg.h_fun is not None else cfg.grid.zeros()
         if self.h.grid != cfg.grid:
             raise ConfigurationError("h_fun lives on a different grid")
@@ -177,7 +182,7 @@ class BranchContext:
     def operator(self, lam: float | None = None) -> DiscreteOperator:
         return DiscreteOperator(self.family, self.grid, self.lam if lam is None else lam)
 
-    def ladder(self, scale: float, n: int = 8) -> list[GridFunction]:
+    def ladder(self, scale: float) -> list[GridFunction]:
         """Deterministic basin-steering starts at a given magnitude scale."""
         phi = self.eig_plus.phi
         mixed = mixed_mode(self.grid)
@@ -187,7 +192,7 @@ class BranchContext:
             starts.append(phi * mag)
             starts.append(phi * (-mag))
         starts.append(mixed * (0.5 * s))
-        return starts[:n] if n <= len(starts) else starts
+        return starts
 
 
 def prepare(cfg: BranchConfig) -> BranchContext:
@@ -212,16 +217,6 @@ def _tags(u: GridFunction) -> frozenset[str]:
     if u.min() > 0.0:
         return frozenset(("Positive",))
     return frozenset(("SignChanging",))
-
-
-def direction_cosine(u: GridFunction, phi: GridFunction) -> float:
-    a = u.values
-    b = phi.values
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
 
 
 def interior_max(u: GridFunction) -> float:
@@ -250,22 +245,53 @@ def diagram_coordinate(u: GridFunction, ref: GridFunction) -> float:
         return math.copysign(float(np.abs(diff).max()), diff[k])
 
 
-def _verify_point(op: DiscreteOperator, f: GridFunction, u: GridFunction,
-                  rep: SolveReport) -> None:
-    resid = float(np.abs(op.apply_flat(u.values) - f.values).max())
-    if resid > rep.tol:
-        raise RegimeError(f"emitted point fails fresh residual check: {resid} > {rep.tol}")
+def _residual(op: DiscreteOperator, u: GridFunction, f: GridFunction) -> float:
+    """Fresh sup-norm residual of F_h[u] = f."""
+    return float(np.abs(op.apply_flat(u.values) - f.values).max())
 
 
-def _chord_convexity_violation(points: list[BranchPoint]) -> float:
-    """Worst pointwise violation of u(t_mid) <= chord interpolation."""
-    worst = 0.0
-    for i in range(1, len(points) - 1):
-        p0, p1, p2 = points[i - 1], points[i], points[i + 1]
+def _set_d(points: list[BranchPoint], ref: GridFunction) -> None:
+    for p in points:
+        p.d = diagram_coordinate(p.u, ref)
+
+
+def _sweep(ctx: BranchContext, op: DiscreteOperator, ts, fallback, what: str,
+           skip_unsolved: bool = False) -> list[BranchPoint]:
+    """Warm-started sweep over ``ts``: each t starts from the previous
+    solution, then from ``fallback(t)``. Every emitted point passes a fresh
+    residual check. A t where no start converges raises ``RegimeError``
+    naming ``what``, or is dropped when ``skip_unsolved``."""
+    points: list[BranchPoint] = []
+    u_prev: GridFunction | None = None
+    for t in ts:
+        t = float(t)
+        f = ctx.rhs(t)
+        u, rep, _ = solve_with_starts(op, f, [u_prev] + fallback(t))
+        if u is None:
+            if skip_unsolved:
+                continue
+            raise RegimeError(f"{what} failed at t={t}: {rep.status}")
+        resid = _residual(op, u, f)
+        if resid > rep.tol:
+            raise RegimeError(f"emitted point fails fresh residual check: {resid} > {rep.tol}")
+        points.append(BranchPoint(t, u, 0.0, _tags(u), rep))
+        u_prev = u
+    return points
+
+
+def _ordering(points: list[BranchPoint]) -> dict:
+    """Strict-decrease gap between consecutive points, worst pointwise
+    violation of u(t_mid) <= chord interpolation, and the slack that
+    violation is held to."""
+    gaps = [float((p.u.values - q.u.values).min()) for p, q in zip(points, points[1:])]
+    convexity = 0.0
+    for p0, p1, p2 in zip(points, points[1:], points[2:]):
         w = (p2.t - p1.t) / (p2.t - p0.t)
         chord = p0.u.values * w + p2.u.values * (1.0 - w)
-        worst = max(worst, float((p1.u.values - chord).max()))
-    return worst
+        convexity = max(convexity, float((p1.u.values - chord).max()))
+    scale = 1.0 + max((sup_norm(p.u) for p in points), default=0.0)
+    return {"strict_decrease_gap": min(gaps, default=float("nan")),
+            "convexity_violation": convexity, "convexity_slack": 1e-9 * scale}
 
 
 # ---------------------------------------------------------------------------
@@ -281,47 +307,25 @@ def sweep_subcritical(cfg: BranchConfig, ctx: BranchContext | None = None) -> Br
             f"subcritical sweep needs lam < lam_1^+ = {ctx.eig_plus.lam}, got {ctx.lam}")
     op = ctx.operator()
     ts = np.linspace(cfg.t_range[0], cfg.t_range[1], cfg.n_samples)
-    points: list[BranchPoint] = []
-    u_prev: GridFunction | None = None
-    for t in ts:
-        f = ctx.rhs(float(t))
-        u, rep = solve(op, f, u0=u_prev)
-        if not rep.converged:
-            u, rep, _ = solve_with_starts(op, f, ctx.ladder(abs(t) + 1.0))
-            if u is None:
-                raise RegimeError(f"solve failed at t={t} in subcritical regime: {rep.status}")
-        _verify_point(op, f, u, rep)
-        points.append(BranchPoint(float(t), u, 0.0, _tags(u), rep))
-        u_prev = u
+    points = _sweep(ctx, op, ts, lambda t: ctx.ladder(abs(t) + 1.0), "subcritical sweep")
 
     ref = points[len(points) // 2].u
-    for p in points:
-        p.d = diagram_coordinate(p.u, ref)
+    _set_d(points, ref)
 
-    scale = 1.0 + max(sup_norm(p.u) for p in points)
-    strict_gap = min(
-        float((points[i].u.values - points[i + 1].u.values).min())
-        for i in range(len(points) - 1)
-    )
+    order = _ordering(points)
     lipschitz = max(
         sup_norm(points[i].u - points[i + 1].u) / (points[i + 1].t - points[i].t)
         for i in range(len(points) - 1)
     )
-    convexity = _chord_convexity_violation(points)
     ds = [p.d for p in points]
     d_monotone = all(ds[i] > ds[i + 1] for i in range(len(ds) - 1))
-    diagnostics = {
-        "strict_decrease_gap": strict_gap,
-        "lipschitz": lipschitz,
-        "convexity_violation": convexity,
-        "convexity_slack": 1e-9 * scale,
-        "d_monotone": d_monotone,
-    }
+    diagnostics = {**order, "lipschitz": lipschitz, "d_monotone": d_monotone}
     if cfg.strict:
-        if strict_gap <= 0:
-            raise RegimeError(f"branch not strictly decreasing (gap {strict_gap})")
-        if convexity > 1e-9 * scale:
-            raise RegimeError(f"midpoint convexity violated by {convexity}")
+        if order["strict_decrease_gap"] <= 0:
+            raise RegimeError(
+                f"branch not strictly decreasing (gap {order['strict_decrease_gap']})")
+        if order["convexity_violation"] > order["convexity_slack"]:
+            raise RegimeError(f"midpoint convexity violated by {order['convexity_violation']}")
         if not d_monotone:
             raise RegimeError("signed distance not strictly monotone along the branch")
     return Branch(points, ref, ctx.lam, diagnostics)
@@ -374,7 +378,7 @@ def locate_tstar_resonance(cfg: BranchConfig, sign: str,
         lam_k = lam_star - eps if sign == "+" else lam_star + eps
         op_k = ctx.operator(lam_k)
         tau = min(1e7, 1.0 / (10.0 * math.sqrt(eps)))
-        params = SolveParams(blowup_norm=max(1e8, 1e4 * tau))
+        blowup_norm = max(1e8, 1e4 * tau)
         solutions: list[tuple[float, GridFunction]] = []
 
         def classify(t: float) -> tuple[bool, float, float, bool]:
@@ -389,8 +393,7 @@ def locate_tstar_resonance(cfg: BranchConfig, sign: str,
                 starts.append(phi_dir * (2.0 * tau))
             best = None
             for s in starts:
-                u, rep = solve(op_k, f, params=params,
-                               u0=s if isinstance(s, GridFunction) else None)
+                u, rep = solve(op_k, f, u0=s, blowup_norm=blowup_norm)
                 if rep.converged:
                     best = (u, rep, False)
                     break
@@ -491,15 +494,13 @@ def _uniqueness_probe(op: DiscreteOperator, f: GridFunction, ctx: BranchContext,
     return {"converged_starts": len(sols), "agree": gap <= tol_gap, "max_gap": gap}
 
 
-def uniqueness_probe_at(cfg: BranchConfig, t: float, lam: float | None = None,
-                        ctx: BranchContext | None = None) -> dict:
+def uniqueness_probe_at(cfg: BranchConfig, t: float, ctx: BranchContext | None = None
+                        ) -> dict:
     """Public distant-start agreement probe at one parameter value."""
     ctx = ctx or prepare(cfg)
-    op = ctx.operator(ctx.lam if lam is None else lam)
+    op = ctx.operator()
     f = ctx.rhs(t)
-    params = SolveParams()
-    tol_gap = 10.0 * params.guard_tol(params.resolve_tol(sup_norm(f)),
-                                      op.matrix_scale(), 1.0 + abs(t))
+    tol_gap = 10.0 * guard_tol(resolve_tol(sup_norm(f)), op.matrix_scale(), 1.0 + abs(t))
     return _uniqueness_probe(op, f, ctx, 1.0 + abs(t) + sup_norm(ctx.h), tol_gap)
 
 
@@ -532,31 +533,19 @@ def trace_resonant_branch(cfg: BranchConfig, sign: str, t_star: float,
     outer = np.linspace(t_max, t_star + 1.0, max(cfg.n_samples, 5))
     ts_desc = sorted(set(list(outer) + [t_star + m for m in margins]), reverse=True)
 
-    points: list[BranchPoint] = []
-    probes: dict[float, dict] = {}
-    u_prev = None
     scale0 = 1.0 + abs(t_max) + sup_norm(ctx.h)
-    for t in ts_desc:
-        f = ctx.rhs(float(t))
-        u, rep = solve(op, f, u0=u_prev)
-        if not rep.converged:
-            u, rep, _ = solve_with_starts(op, f, ctx.ladder(scale0))
-            if u is None:
-                if sign == "-":
-                    # bounded sector may be unreachable this close to t*
-                    continue
-                raise RegimeError(f"resonant sweep failed at t={t}: {rep.status}")
-        _verify_point(op, f, u, rep)
-        points.append(BranchPoint(float(t), u, 0.0, _tags(u), rep))
-        u_prev = u
-        if sign == "+" and t >= t_star + 0.05 and len(probes) < 6:
-            probes[float(t)] = _uniqueness_probe(op, f, ctx, scale0, 10.0 * rep.tol)
+    # near t* the bounded sector of sign '-' may be unreachable
+    points = _sweep(ctx, op, ts_desc, lambda t: ctx.ladder(scale0), "resonant sweep",
+                    skip_unsolved=sign == "-")
+    probes: dict[float, dict] = {}
+    if sign == "+":
+        for p in [p for p in points if p.t >= t_star + 0.05][:6]:
+            probes[p.t] = _uniqueness_probe(op, ctx.rhs(p.t), ctx, scale0, 10.0 * p.solve.tol)
 
     points.sort(key=lambda p: p.t)
     ref_t = 1.0 + t_star
     ref = min(points, key=lambda p: abs(p.t - ref_t)).u
-    for p in points:
-        p.d = diagram_coordinate(p.u, ref)
+    _set_d(points, ref)
 
     diagnostics: dict = {"uniqueness_probes": probes, "t_star": t_star}
 
@@ -565,21 +554,11 @@ def trace_resonant_branch(cfg: BranchConfig, sign: str, t_star: float,
     diagnostics["near_norms"] = norms_near
 
     if sign == "+":
-        small = [p for p in points if p.t - t_star <= 2.0 * margins[-1]]
         big = [p for p in points if p.t - t_star >= 0.4]
-        if small:
-            u_star = small[0].u
-            m_last = small[0].t - t_star
-            lip = 0.0
-            if len(points) > 1:
-                q = points[1]
-                lip = sup_norm(points[0].u - q.u) / max(q.t - points[0].t, 1e-300)
-            ray_tol = 2.0 * (bracket_halfwidth + m_last * max(lip, 1.0)) + 1e-8
-            ray = {}
-            for s in (1.0, 2.0, 5.0):
-                cand = u_star + phi_plus * s
-                resid = float(np.abs(op.apply_flat(cand.values) - ctx.rhs(t_star).values).max())
-                ray[s] = resid
+        if points and points[0].t - t_star <= 2.0 * margins[-1]:
+            u_star = points[0].u
+            ray, ray_tol = _ray_check(op, ctx, points, t_star, bracket_halfwidth, u_star,
+                                      phi_plus, (1.0, 2.0, 5.0))
             bounded = sup_norm(u_star) <= 10.0 * (1.0 + max(sup_norm(p.u) for p in big)) \
                 if big else True
             if bounded and all(r <= ray_tol for r in ray.values()):
@@ -603,17 +582,12 @@ def trace_resonant_branch(cfg: BranchConfig, sign: str, t_star: float,
         # unbounded negative sector: eigen-direction ladder at the smallest
         # bounded margin; large solutions must be negative with interior decay
         anchor = points[0].u if points else ctx.grid.zeros()
+        scales = (1.0, 2.0, 5.0, 50.0)
+        ray, ray_tol = _ray_check(op, ctx, points, t_star, bracket_halfwidth, anchor,
+                                  phi_minus, scales)
         ladder_stats = []
-        ray = {}
-        lip = 0.0
-        if len(points) > 1:
-            lip = sup_norm(points[0].u - points[1].u) / max(points[1].t - points[0].t, 1e-300)
-        ray_tol = 2.0 * (bracket_halfwidth + (points[0].t - t_star) * max(lip, 1.0)) + 1e-8 \
-            if points else 1e-4
-        for s in (1.0, 2.0, 5.0, 50.0):
+        for s in scales:
             cand = anchor + phi_minus * s
-            resid = float(np.abs(op.apply_flat(cand.values) - ctx.rhs(t_star).values).max())
-            ray[s] = resid
             ladder_stats.append({
                 "s": s,
                 "norm": sup_norm(cand),
@@ -632,14 +606,9 @@ def trace_resonant_branch(cfg: BranchConfig, sign: str, t_star: float,
 
     # ordering and convexity along the swept (unique/minimal) part
     ordered = points if sign == "+" else [p for p in points if p.t >= t_star + 0.05]
-    gaps = [float((ordered[i].u.values - ordered[i + 1].u.values).min())
-            for i in range(len(ordered) - 1)]
-    diagnostics["strict_decrease_gap"] = min(gaps) if gaps else float("nan")
-    diagnostics["convexity_violation"] = _chord_convexity_violation(ordered)
-    scale = 1.0 + max((sup_norm(p.u) for p in ordered), default=0.0)
-    diagnostics["convexity_slack"] = 1e-9 * scale
+    diagnostics.update(_ordering(ordered))
     if cfg.strict and sign == "+":
-        if gaps and min(gaps) <= 0:
+        if diagnostics["strict_decrease_gap"] <= 0:
             raise RegimeError("resonant branch lost strict ordering")
         if diagnostics["convexity_violation"] > diagnostics["convexity_slack"]:
             raise RegimeError("resonant branch lost midpoint convexity")
@@ -649,19 +618,36 @@ def trace_resonant_branch(cfg: BranchConfig, sign: str, t_star: float,
     return Branch(points, ref, lam, diagnostics)
 
 
+def _ray_check(op: DiscreteOperator, ctx: BranchContext, points: list[BranchPoint],
+               t_star: float, bracket_halfwidth: float, anchor: GridFunction,
+               phi: GridFunction, scales) -> tuple[dict, float]:
+    """Residuals of anchor + s*phi in the t* equation for each s, and the
+    tolerance they are held to: the t* bracket plus the distance of the
+    first point from t* times the local Lipschitz estimate of the branch."""
+    ray_tol = 1e-4
+    if points:
+        lip = 0.0
+        if len(points) > 1:
+            p, q = points[0], points[1]
+            lip = sup_norm(p.u - q.u) / max(q.t - p.t, 1e-300)
+        ray_tol = 2.0 * (bracket_halfwidth + (points[0].t - t_star) * max(lip, 1.0)) + 1e-8
+    f_star = ctx.rhs(t_star)
+    return {s: _residual(op, anchor + phi * s, f_star) for s in scales}, ray_tol
+
+
 # ---------------------------------------------------------------------------
 # 4. fold regime: minimal branch + continuation
 # ---------------------------------------------------------------------------
 
 
-def _negative_subsolution(ctx: BranchContext, op: DiscreteOperator, t: float,
-                          params: SolveParams) -> GridFunction:
+def _negative_subsolution(ctx: BranchContext, op: DiscreteOperator, t: float
+                          ) -> GridFunction:
     """Negative solution of (F+lam)[v] = max(t,1)*phi + h^+, scaled to a
     certified discrete subsolution below the solution set."""
     rhs = ctx.eig_plus.phi * max(t, 1.0) + GridFunction(
         ctx.grid, np.maximum(ctx.h.values, 0.0), check_finite=False)
     starts = [eigen_bump(ctx.grid) * (-s) for s in (1.0, 10.0, 100.0)]
-    v, rep, _ = solve_with_starts(op, rhs, starts, params=params)
+    v, rep, _ = solve_with_starts(op, rhs, starts)
     if v is None or v.max() > 1e-12 * (1.0 + sup_norm(v)):
         raise FoldTraceError(f"could not construct the negative barrier at t={t}")
     f = ctx.rhs(t)
@@ -676,8 +662,7 @@ def _negative_subsolution(ctx: BranchContext, op: DiscreteOperator, t: float,
 
 
 def _monotone_minimal(ctx: BranchContext, op: DiscreteOperator, t: float,
-                      u0: GridFunction, params: SolveParams,
-                      max_fp: int = 1000) -> GridFunction | None:
+                      u0: GridFunction) -> GridFunction | None:
     """Increasing fixed-point iteration from a subsolution.
 
     Returns the minimal solution above u0, or None if the iterates blow
@@ -686,11 +671,11 @@ def _monotone_minimal(ctx: BranchContext, op: DiscreteOperator, t: float,
     op_proper = ctx.operator(ctx.lam - s0)
     f = ctx.rhs(t)
     u = u0
-    tol_fp = params.resolve_tol(sup_norm(f))
-    for _ in range(max_fp):
+    tol_fp = resolve_tol(sup_norm(f))
+    for _ in range(1000):
         rhs = f - u * s0
-        w, rep = solve(op_proper, rhs, params=params, u0=u)
-        if rep.status == DIVERGED or (rep.converged and sup_norm(w) > params.blowup_norm):
+        w, rep = solve(op_proper, rhs, u0=u)
+        if rep.status == DIVERGED or (rep.converged and sup_norm(w) > BLOWUP_NORM):
             return None
         if not rep.converged:
             raise FoldTraceError(f"proper inner solve failed at t={t}: {rep.status}")
@@ -701,23 +686,22 @@ def _monotone_minimal(ctx: BranchContext, op: DiscreteOperator, t: float,
                 "subsolution not certified or properness shift broken")
         step = sup_norm(w - u)
         u = w
-        resid = float(np.abs(op.apply_flat(u.values) - f.values).max())
-        if step <= 10.0 * tol_fp and resid <= params.guard_tol(
-                tol_fp, op.matrix_scale(), sup_norm(u)):
+        resid = _residual(op, u, f)
+        if step <= 10.0 * tol_fp and resid <= guard_tol(tol_fp, op.matrix_scale(), sup_norm(u)):
             return u
     return None
 
 
-def _fold_point(ctx: BranchContext, op: DiscreteOperator, params: SolveParams, t: float,
-                u: GridFunction, base_tol: float | None = None) -> BranchPoint:
+def _fold_point(ctx: BranchContext, op: DiscreteOperator, t: float, u: GridFunction,
+                base_tol: float | None = None) -> BranchPoint:
     """Branch point for a fold solution found outside ``solve``, reported
     with its fresh residual against rhs(t) and the conditioning-guarded
     tolerance; ``base_tol`` defaults to the solver's tolerance for rhs(t)."""
     f = ctx.rhs(t)
-    resid = float(np.abs(op.apply_flat(u.values) - f.values).max())
+    resid = _residual(op, u, f)
     if base_tol is None:
-        base_tol = params.resolve_tol(sup_norm(f))
-    tol = params.guard_tol(base_tol, op.matrix_scale(), sup_norm(u))
+        base_tol = resolve_tol(sup_norm(f))
+    tol = guard_tol(base_tol, op.matrix_scale(), sup_norm(u))
     return BranchPoint(t, u, 0.0, _tags(u), SolveReport(CONVERGED, 0, [resid], [], tol, resid))
 
 
@@ -731,7 +715,6 @@ def trace_fold(cfg: BranchConfig, ctx: BranchContext | None = None
             f"fold regime needs lam_1^+ < lam < lam_1^-; got {ctx.eig_plus.lam} "
             f"/ {ctx.lam} / {ctx.eig_minus.lam}")
     op = ctx.operator()
-    params = SolveParams()
     t_min, t_max = cfg.t_range
 
     # minimal branch downward until existence fails
@@ -739,13 +722,13 @@ def trace_fold(cfg: BranchConfig, ctx: BranchContext | None = None
     minimal_points: list[BranchPoint] = []
     fail_bracket = None
     for t in ts_desc:
-        u0 = _negative_subsolution(ctx, op, float(t), params)
-        u = _monotone_minimal(ctx, op, float(t), u0, params)
+        u0 = _negative_subsolution(ctx, op, float(t))
+        u = _monotone_minimal(ctx, op, float(t), u0)
         if u is None:
             prev_t = minimal_points[-1].t if minimal_points else float(t)
             fail_bracket = (float(t), prev_t)
             break
-        minimal_points.append(_fold_point(ctx, op, params, float(t), u))
+        minimal_points.append(_fold_point(ctx, op, float(t), u))
     minimal_points.sort(key=lambda p: p.t)
 
     if not minimal_points:
@@ -754,9 +737,8 @@ def trace_fold(cfg: BranchConfig, ctx: BranchContext | None = None
     # second branch by continuation from the top
     t_top = minimal_points[-1].t
     f_top = ctx.rhs(t_top)
-    gap_tol = max(1e-4, 10.0 * params.resolve_tol(sup_norm(f_top)))
-    census = basin_census(op, f_top, ctx.ladder(1.0 + abs(t_top)), params=params,
-                          distinct_gap=gap_tol)
+    gap_tol = max(1e-4, 10.0 * resolve_tol(sup_norm(f_top)))
+    census = basin_census(op, f_top, ctx.ladder(1.0 + abs(t_top)), distinct_gap=gap_tol)
     u_min_top = minimal_points[-1].u
     others = [c for c in census if sup_norm(c[0] - u_min_top) > gap_tol]
     if not others:
@@ -767,7 +749,7 @@ def trace_fold(cfg: BranchConfig, ctx: BranchContext | None = None
     # decreasing parameter along the folded path
     ref_tilde = u_min_top - eigen_bump(ctx.grid) * (0.05 * (1.0 + sup_norm(u_min_top)))
     second_points, fold_t, fold_step, fold_idx = _continue_in_d(
-        ctx, op, u2, t_top, ref_tilde, params=params, n_samples=cfg.n_samples)
+        ctx, op, u2, t_top, ref_tilde, n_samples=cfg.n_samples)
 
     t_star = fold_t
     halfw = max(fold_step, 1e-8)
@@ -792,17 +774,12 @@ def trace_fold(cfg: BranchConfig, ctx: BranchContext | None = None
     )
 
     ref = minimal_points[len(minimal_points) // 2].u
-    for p in minimal_points:
-        p.d = diagram_coordinate(p.u, ref)
-    for p in second_points:
-        p.d = diagram_coordinate(p.u, ref)
+    _set_d(minimal_points, ref)
+    _set_d(second_points, ref)
 
+    order = _ordering(minimal_points)
     minimal = Branch(minimal_points, ref, ctx.lam, {
-        "convexity_violation": _chord_convexity_violation(minimal_points),
-        "strict_decrease_gap": min(
-            (float((minimal_points[i].u.values - minimal_points[i + 1].u.values).min())
-             for i in range(len(minimal_points) - 1)), default=float("nan")),
-    })
+        k: order[k] for k in ("convexity_violation", "strict_decrease_gap")})
     # points kept in continuation (path) order so the folded polyline renders
     second = Branch(second_points, ref, ctx.lam, {"fold_index": fold_idx})
 
@@ -825,8 +802,7 @@ def trace_fold(cfg: BranchConfig, ctx: BranchContext | None = None
 
 
 def _continue_in_d(ctx: BranchContext, op: DiscreteOperator, u_start: GridFunction,
-                   t_start: float, ref_tilde: GridFunction, params: SolveParams,
-                   n_samples: int, max_steps: int = 600):
+                   t_start: float, ref_tilde: GridFunction, n_samples: int):
     """Continuation of (u, t) parameterized by the distance coordinate
     d(u) = ||u - ref||, which is strictly decreasing along the ordered
     folded path; the fold is where t reverses direction.
@@ -857,8 +833,7 @@ def _continue_in_d(ctx: BranchContext, op: DiscreteOperator, u_start: GridFuncti
             r = residual(u, t)
             c = diff[jstar] - d_target
             scale = 1.0 + np.abs(u).max()
-            if np.abs(r).max() <= params.guard_tol(1e-10 * scale, op.matrix_scale(),
-                                                   np.abs(u).max()) \
+            if np.abs(r).max() <= guard_tol(1e-10 * scale, op.matrix_scale(), np.abs(u).max()) \
                     and abs(c) <= 1e-11 * scale:
                 return u, t, True
             L = op.linearize(u).matrix
@@ -891,7 +866,7 @@ def _continue_in_d(ctx: BranchContext, op: DiscreteOperator, u_start: GridFuncti
         return u, t, False
 
     def emit(u_flat, tv):
-        return _fold_point(ctx, op, params, tv, GridFunction(grid, u_flat, check_finite=False),
+        return _fold_point(ctx, op, tv, GridFunction(grid, u_flat, check_finite=False),
                            1e-10 * (1.0 + np.abs(u_flat).max()))
 
     u = u_start.values.copy()
@@ -907,7 +882,7 @@ def _continue_in_d(ctx: BranchContext, op: DiscreteOperator, u_start: GridFuncti
     fold_seen = False
     u_prev, t_prev, d_prev = u, t, d_cur
 
-    for _ in range(max_steps):
+    for _ in range(600):
         if d_cur - d_floor <= 1e-14:
             break
         trial = min(dstep, d_cur - d_floor)
@@ -992,48 +967,31 @@ def _continue_in_d(ctx: BranchContext, op: DiscreteOperator, u_start: GridFuncti
 # ---------------------------------------------------------------------------
 
 
-def sweep_negative_regime(cfg: BranchConfig, ctx: BranchContext | None = None,
-                          window_fraction: float = 0.05) -> Branch:
-    """Sweep lam in (lam_1^-, lam_1^- + eps): solutions exist for every t;
-    checks negativity for very negative t, growth of sup u for large t and
-    the antimaximum property."""
+def sweep_negative_regime(cfg: BranchConfig, ctx: BranchContext | None = None) -> Branch:
+    """Sweep lam in (lam_1^-, lam_1^- + 0.05*max(|lam_1^-|, 1)]: solutions
+    exist for every t; checks negativity for very negative t, growth of
+    sup u for large t and the antimaximum property."""
     ctx = ctx or prepare(cfg)
     lam = ctx.lam
-    window = window_fraction * max(abs(ctx.eig_minus.lam), 1.0)
+    window = 0.05 * max(abs(ctx.eig_minus.lam), 1.0)
     if not (ctx.eig_minus.lam < lam <= ctx.eig_minus.lam + window):
         raise RegimeError(
             f"negative-regime sweep needs lam in (lam_1^-, lam_1^- + {window:.3g}]; "
             f"lam_1^- = {ctx.eig_minus.lam}, got {lam}")
     op = ctx.operator()
     gap = lam - ctx.eig_minus.lam
+    phi = ctx.eig_plus.phi
+
+    def fallback(t: float) -> list[GridFunction | None]:
+        scale = (1.0 + abs(t)) / max(gap, 1e-3)
+        return [None, phi * (-scale), phi * scale, phi * (-0.1 * scale),
+                mixed_mode(ctx.grid) * (0.1 * scale)]
+
     ts = np.linspace(cfg.t_range[0], cfg.t_range[1], cfg.n_samples)
-    points: list[BranchPoint] = []
-    u_prev = None
-    for t in ts:
-        f = ctx.rhs(float(t))
-        starts: list[GridFunction | None] = [u_prev, None]
-        scale = (1.0 + abs(float(t))) / max(gap, 1e-3)
-        starts += [ctx.eig_plus.phi * (-scale), ctx.eig_plus.phi * scale,
-                   ctx.eig_plus.phi * (-0.1 * scale), mixed_mode(ctx.grid) * (0.1 * scale)]
-        u = None
-        for s in starts:
-            if s is None:
-                cand, rep = solve(op, f)
-            else:
-                cand, rep = solve(op, f, u0=s)
-            if rep.converged:
-                u = cand
-                break
-        if u is None:
-            raise RegimeError(
-                f"existence failed at t={t} inside the negative regime: {rep.status}")
-        _verify_point(op, f, u, rep)
-        points.append(BranchPoint(float(t), u, 0.0, _tags(u), rep))
-        u_prev = u
+    points = _sweep(ctx, op, ts, fallback, "existence inside the negative regime")
 
     ref = points[len(points) // 2].u
-    for p in points:
-        p.d = diagram_coordinate(p.u, ref)
+    _set_d(points, ref)
 
     # negativity threshold scan from below
     t_minus_probe = None
@@ -1104,12 +1062,11 @@ def make_teo6_family(grid: Grid, base: ControlFamily | None = None
 
 
 def uniqueness_probe_teo6(family: ControlFamily, grid: Grid, n_starts: int = 8,
-                          n_rhs: int = 10, seed: int = 0, d0: float | None = None,
-                          eigen_params: EigenParams | None = None) -> dict:
+                          n_rhs: int = 10, seed: int = 0, d0: float | None = None) -> dict:
     """Battery of right-hand sides x start basins; every converged basin per
     f must agree when both eigenvalues sit in (-d0, 0)."""
-    ep = principal_eigen(family, grid, "+", params=eigen_params)
-    em = principal_eigen(family, grid, "-", params=eigen_params)
+    ep = principal_eigen(family, grid, "+")
+    em = principal_eigen(family, grid, "-")
     if d0 is None:
         _, d0 = make_teo6_family(grid)
     if not (-d0 <= ep.lam <= em.lam < 0):
@@ -1143,13 +1100,12 @@ def uniqueness_probe_teo6(family: ControlFamily, grid: Grid, n_starts: int = 8,
     cases.append(("large_positive_const", grid.ones() * 50.0))
     cases.append(("large_negative_const", grid.ones() * (-50.0)))
 
-    params = SolveParams()
     results = []
     all_unique = True
     for label, f in cases:
         scale = 1.0 + sup_norm(f) / max(abs(ep.lam), 1.0)
-        tol_gap = 10.0 * params.resolve_tol(sup_norm(f))
-        census = basin_census(op, f, starts(scale), params=params, distinct_gap=tol_gap)
+        tol_gap = 10.0 * resolve_tol(sup_norm(f))
+        census = basin_census(op, f, starts(scale), distinct_gap=tol_gap)
         entry = {
             "label": label,
             "n_solutions": len(census),

@@ -17,14 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import branches as br
-from .eigen import (
-    EigenParams,
-    eigen_bisect_crosscheck,
-    mirrored_plus_eigen,
-    principal_eigen,
-    simplicity_probe,
-    subdomain_gap,
-)
+from .eigen import principal_eigen, simplicity_probe, subdomain_gap
 from .errors import ConfigurationError, HJBError
 from .grids import Grid, GridFunction, build_grid, half_domain_mask, sup_norm
 from .howard import (

@@ -76,7 +76,7 @@ class Scenario:
     def h_fun(self, grid: Grid) -> GridFunction:
         return _sample_h(self.data["h_fun"], grid)
 
-    def branch_config(self, strict: bool = True) -> br.BranchConfig:
+    def branch_config(self) -> br.BranchConfig:
         grid = self.grid()
         b = self.data["branch"]
         lam, offset = self.lam()
@@ -84,8 +84,7 @@ class Scenario:
         return br.BranchConfig(
             self.family(), grid, lam, tuple(b["t_range"]), b["n_samples"],
             h_fun=self.h_fun(grid), lam_offset=offset,
-            resonance_seq=tuple(2.0 ** (-k) for k in range(1, levels + 1)),
-            seed=self.data["seeds"][0], strict=strict)
+            resonance_seq=tuple(2.0 ** (-k) for k in range(1, levels + 1)))
 
 
 def _err(path: str, message: str) -> ConfigurationError:
@@ -93,6 +92,7 @@ def _err(path: str, message: str) -> ConfigurationError:
 
 
 def _require_keys(obj: dict, path: str, required: tuple, optional: tuple) -> None:
+    _expect(isinstance(obj, dict), path, "must be an object")
     for key in obj:
         if key not in required and key not in optional:
             raise _err(f"{path}.{key}", "unknown key")
@@ -106,52 +106,98 @@ def _expect(cond: bool, path: str, message: str) -> None:
         raise _err(path, message)
 
 
-def _family_from_dict(fd: dict) -> ControlFamily:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _real(value, path: str) -> float:
+    """A finite real number; JSON booleans are not numbers."""
+    _expect(isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max, path, "must be a finite number")
+    return float(value)
+
+
+def _reals(value, path: str, length: int | None = None) -> None:
+    """A list of finite reals, with ``length`` entries when given."""
+    _expect(isinstance(value, list) and length in (None, len(value)), path,
+            "must be a list of numbers" if length is None else f"must be a list of length {length}")
+    for i, v in enumerate(value):
+        _real(v, f"{path}[{i}]")
+
+
+def _validate_coeffs(c: dict, path: str, null_drift: bool) -> None:
+    """diffusion: a real or a square matrix; drift: a real or a list of
+    reals (or null when ``null_drift``); zeroth: a real."""
+    diffusion = c.get("diffusion", 1.0)
+    if isinstance(diffusion, list):
+        for i, row in enumerate(diffusion):
+            _reals(row, f"{path}.diffusion[{i}]", len(diffusion))
+    else:
+        _real(diffusion, f"{path}.diffusion")
+    drift = c.get("drift")
+    if isinstance(drift, list):
+        _reals(drift, f"{path}.drift")
+    elif drift is not None or not null_drift:
+        _real(drift, f"{path}.drift")
+    _real(c.get("zeroth", 0.0), f"{path}.zeroth")
+
+
+_FAMILY_KEYS = {  # kind -> (required, optional) keys besides "kind" and "dim"
+    "linear": ((), ("diffusion", "drift", "zeroth")),
+    "fucik": (("b_plus",), ("b_minus",)),
+    "pucci_plus": (("lam_ell", "Lam_ell"), ()),
+    "pucci_minus": (("lam_ell", "Lam_ell"), ()),
+    "finite_sup": (("controls",), ()),
+}
+
+
+def _family_from_dict(fd) -> ControlFamily:
+    """Validate a family object, naming the JSON path of any fault, and build it."""
+    _expect(isinstance(fd, dict), "family", "must be an object")
+    _expect("kind" in fd, "family.kind", "missing required key")
     kind = fd["kind"]
+    _expect(isinstance(kind, str) and kind in _FAMILY_KEYS, "family.kind",
+            f"unknown kind {kind!r}")
+    required, optional = _FAMILY_KEYS[kind]
+    _require_keys(fd, "family", ("kind",) + required, optional + ("dim",))
     dim = fd.get("dim", 1)
+    _expect(_is_int(dim) and dim in (1, 2), "family.dim", "must be 1 or 2")
     if kind == "linear":
+        _validate_coeffs(fd, "family", null_drift=True)
         return ControlFamily.linear(fd.get("diffusion", 1.0), fd.get("drift"),
                                     fd.get("zeroth", 0.0), dim=dim)
     if kind == "fucik":
-        return ControlFamily.fucik(fd["b_plus"], fd.get("b_minus", 0.0), dim=dim)
-    if kind == "pucci_plus":
-        return ControlFamily.pucci_plus(fd["lam_ell"], fd["Lam_ell"], dim=dim)
-    if kind == "pucci_minus":
-        return ControlFamily.pucci_minus(fd["lam_ell"], fd["Lam_ell"], dim=dim)
+        return ControlFamily.fucik(_real(fd["b_plus"], "family.b_plus"),
+                                   _real(fd.get("b_minus", 0.0), "family.b_minus"), dim=dim)
     if kind == "finite_sup":
-        ctrls = [(c["diffusion"], c["drift"], c["zeroth"]) for c in fd["controls"]]
-        return ControlFamily.finite_sup(ctrls)
-    raise _err("family.kind", f"unknown kind {kind!r}")
+        controls = fd["controls"]
+        _expect(isinstance(controls, list) and controls, "family.controls",
+                "must be a nonempty list")
+        for i, c in enumerate(controls):
+            _require_keys(c, f"family.controls[{i}]", ("diffusion", "drift", "zeroth"), ())
+            _validate_coeffs(c, f"family.controls[{i}]", null_drift=False)
+        return ControlFamily.finite_sup([(c["diffusion"], c["drift"], c["zeroth"])
+                                         for c in controls])
+    pucci = ControlFamily.pucci_plus if kind == "pucci_plus" else ControlFamily.pucci_minus
+    return pucci(_real(fd["lam_ell"], "family.lam_ell"), _real(fd["Lam_ell"], "family.Lam_ell"),
+                 dim=dim)
 
 
-def _validate_family(fd, path: str) -> dict:
-    _expect(isinstance(fd, dict), path, "must be an object")
-    _expect("kind" in fd, f"{path}.kind", "missing required key")
-    kind = fd["kind"]
-    if kind == "linear":
-        _require_keys(fd, path, ("kind",), ("diffusion", "drift", "zeroth", "dim"))
-    elif kind == "fucik":
-        _require_keys(fd, path, ("kind", "b_plus"), ("b_minus", "dim"))
-    elif kind in ("pucci_plus", "pucci_minus"):
-        _require_keys(fd, path, ("kind", "lam_ell", "Lam_ell"), ("dim",))
-    elif kind == "finite_sup":
-        _require_keys(fd, path, ("kind", "controls"), ("dim",))
-        _expect(isinstance(fd["controls"], list) and fd["controls"],
-                f"{path}.controls", "must be a nonempty list")
-        for i, c in enumerate(fd["controls"]):
-            _require_keys(c, f"{path}.controls[{i}]",
-                          ("diffusion", "drift", "zeroth"), ())
-    else:
-        raise _err(f"{path}.kind", f"unknown kind {kind!r}")
-    return fd
+_H_FUN_KEYS = {"zero": (), "poly": ("coeffs",), "sine": ("amplitudes",)}
 
 
-def _sample_h(hd: dict, grid: Grid) -> GridFunction:
+def _sample_h(hd, grid: Grid) -> GridFunction:
+    """Validate an h_fun object, naming the JSON path of any fault, and sample it."""
+    _expect(isinstance(hd, dict) and "kind" in hd, "h_fun", "must carry a kind")
     kind = hd["kind"]
+    _expect(isinstance(kind, str) and kind in _H_FUN_KEYS, "h_fun.kind",
+            f"unknown kind {kind!r}")
+    _require_keys(hd, "h_fun", ("kind",) + _H_FUN_KEYS[kind], ())
     if kind == "zero":
         return grid.zeros()
+    key = _H_FUN_KEYS[kind][0]
+    _reals(hd[key], f"h_fun.{key}")
     coords = grid.coords()
-    xh = np.ones(grid.num_nodes)
     hats = []
     for ax in range(grid.dim):
         a, b = grid.extents[ax]
@@ -162,15 +208,13 @@ def _sample_h(hd: dict, grid: Grid) -> GridFunction:
         for k, c in enumerate(hd["coeffs"]):
             vals += float(c) * hats[0] ** k
         return GridFunction(grid, vals)
-    if kind == "sine":
-        vals = np.zeros(grid.num_nodes)
-        for m, a_m in enumerate(hd["amplitudes"], start=1):
-            mode = np.ones(grid.num_nodes)
-            for hat in hats:
-                mode = mode * np.sin(m * np.pi * hat)
-            vals += float(a_m) * mode
-        return GridFunction(grid, vals)
-    raise _err("h_fun.kind", f"unknown kind {kind!r}")
+    vals = np.zeros(grid.num_nodes)
+    for m, a_m in enumerate(hd["amplitudes"], start=1):
+        mode = np.ones(grid.num_nodes)
+        for hat in hats:
+            mode = mode * np.sin(m * np.pi * hat)
+        vals += float(a_m) * mode
+    return GridFunction(grid, vals)
 
 
 def validate_scenario(raw: dict) -> dict:
@@ -185,67 +229,55 @@ def validate_scenario(raw: dict) -> dict:
 
     gd = raw["grid"]
     _require_keys(gd, "grid", ("dim", "extents", "n"), ())
-    _expect(gd["dim"] in (1, 2), "grid.dim", "must be 1 or 2")
+    _expect(_is_int(gd["dim"]) and gd["dim"] in (1, 2), "grid.dim", "must be 1 or 2")
     _expect(isinstance(gd["extents"], list) and len(gd["extents"]) == gd["dim"],
             "grid.extents", "must list one [a, b] pair per axis")
     for i, e in enumerate(gd["extents"]):
-        _expect(isinstance(e, list) and len(e) == 2, f"grid.extents[{i}]",
-                "must be [a, b]")
-        _expect(float(e[1]) > float(e[0]), f"grid.extents[{i}]", "must be increasing")
+        _reals(e, f"grid.extents[{i}]", 2)
+        _expect(e[1] > e[0], f"grid.extents[{i}]", "must be increasing")
     _expect(isinstance(gd["n"], list) and len(gd["n"]) == gd["dim"], "grid.n",
             "must list one count per axis")
     for i, n in enumerate(gd["n"]):
-        _expect(isinstance(n, int) and n >= 3, f"grid.n[{i}]",
+        _expect(_is_int(n) and n >= 3, f"grid.n[{i}]",
                 "needs at least 3 interior nodes")
     out["grid"] = {"dim": gd["dim"],
                    "extents": [[float(a), float(b)] for a, b in gd["extents"]],
-                   "n": [int(n) for n in gd["n"]]}
+                   "n": list(gd["n"])}
 
-    out["family"] = _validate_family(raw["family"], "family")
+    family = _family_from_dict(raw["family"])
+    out["family"] = raw["family"]
 
     lam = raw.get("lam", 0.0)
     if isinstance(lam, dict):
         _require_keys(lam, "lam", ("mode",), ("offset",))
         _expect(lam["mode"] in (br.AT_LAM_PLUS, br.AT_LAM_MINUS), "lam.mode",
                 "must be 'at_lam_plus' or 'at_lam_minus'")
-        out["lam"] = {"mode": lam["mode"], "offset": float(lam.get("offset", 0.0))}
+        out["lam"] = {"mode": lam["mode"], "offset": _real(lam.get("offset", 0.0), "lam.offset")}
     else:
-        _expect(isinstance(lam, (int, float)), "lam", "must be a number or object")
-        out["lam"] = float(lam)
+        out["lam"] = _real(lam, "lam")
 
-    hd = raw.get("h_fun", {"kind": "zero"})
-    _expect(isinstance(hd, dict) and "kind" in hd, "h_fun", "must carry a kind")
-    if hd["kind"] == "zero":
-        _require_keys(hd, "h_fun", ("kind",), ())
-    elif hd["kind"] == "poly":
-        _require_keys(hd, "h_fun", ("kind", "coeffs"), ())
-    elif hd["kind"] == "sine":
-        _require_keys(hd, "h_fun", ("kind", "amplitudes"), ())
-    else:
-        raise _err("h_fun.kind", f"unknown kind {hd['kind']!r}")
-    out["h_fun"] = hd
+    out["h_fun"] = raw.get("h_fun", {"kind": "zero"})
 
     bd = raw.get("branch", {})
     _require_keys(bd, "branch", (), ("t_range", "n_samples", "resonance_levels"))
     t_range = bd.get("t_range", [-5.0, 5.0])
-    _expect(isinstance(t_range, list) and len(t_range) == 2
-            and float(t_range[0]) < float(t_range[1]),
-            "branch.t_range", "must be an increasing pair")
+    _reals(t_range, "branch.t_range", 2)
+    _expect(t_range[0] < t_range[1], "branch.t_range", "must be increasing")
     n_samples = bd.get("n_samples", 21)
-    _expect(isinstance(n_samples, int) and n_samples >= 2, "branch.n_samples",
+    _expect(_is_int(n_samples) and n_samples >= 2, "branch.n_samples",
             "must be an integer >= 2")
     levels = bd.get("resonance_levels", 20)
-    _expect(isinstance(levels, int) and 3 <= levels <= 40, "branch.resonance_levels",
+    _expect(_is_int(levels) and 3 <= levels <= 40, "branch.resonance_levels",
             "must be an integer in [3, 40]")
     out["branch"] = {"t_range": [float(t_range[0]), float(t_range[1])],
                      "n_samples": n_samples, "resonance_levels": levels}
 
     seeds = raw.get("seeds", [0])
     _expect(isinstance(seeds, list) and seeds
-            and all(isinstance(s, int) for s in seeds), "seeds",
+            and all(_is_int(s) for s in seeds), "seeds",
             "must be a nonempty list of integers")
     out["seeds"] = seeds
-    out["solve_t"] = float(raw.get("solve_t", 0.0))
+    out["solve_t"] = _real(raw.get("solve_t", 0.0), "solve_t")
     dump = raw.get("dump_points", False)
     _expect(isinstance(dump, bool), "dump_points", "must be a boolean")
     out["dump_points"] = dump
@@ -253,7 +285,6 @@ def validate_scenario(raw: dict) -> dict:
     # construction-level validation: grid/family invariants and admissibility
     scenario = Scenario(out)
     grid = scenario.grid()
-    family = scenario.family()
     scenario.h_fun(grid)
     DiscreteOperator(family, grid, 0.0)  # raises AdmissibilityError on CFL failure
     return out

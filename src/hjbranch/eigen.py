@@ -23,27 +23,19 @@ import numpy as np
 
 from .errors import BracketError, EigenIterationError, UsageError
 from .grids import Grid, GridFunction, SubdomainMask, eigen_bump, sup_norm
-from .howard import CONVERGED, SolveParams, solve
+from .howard import CONVERGED, solve
 from .operators import ControlFamily, DiscreteOperator, MirroredOperator
 
 
-@dataclass
-class EigenParams:
-    """Inverse-iteration controls.
+_TOL = 1e-10  # eigenvalue change between steps
+_RESIDUAL_TOL = 1e-9  # sup |F_h[phi] + lam*phi| at the normalized iterate
+_MAX_ITERS = 500
 
-    The shift resolves to delta + max(lam_guess_upper, 0) + shift_margin,
-    which makes the shifted operator strictly proper (zeroth-order total
-    <= -shift_margin for every control).
-    """
 
-    shift_margin: float = 1.0
-    lam_guess_upper: float = 0.0
-    tol: float = 1e-10
-    residual_tol: float = 1e-9
-    max_iters: int = 500
-
-    def resolve_shift(self, family: ControlFamily) -> float:
-        return family.envelope.delta + max(self.lam_guess_upper, 0.0) + self.shift_margin
+def proper_shift(family: ControlFamily) -> float:
+    """Shift sigma = delta + 1 that makes F_h - sigma strictly proper
+    (zeroth-order total <= -1 for every control)."""
+    return family.envelope.delta + 1.0
 
 
 @dataclass
@@ -65,7 +57,6 @@ def _sign_ok(flat: np.ndarray, incl: np.ndarray | None, sign: str) -> bool:
 
 
 def principal_eigen(family: ControlFamily, grid: Grid, sign: str,
-                    params: EigenParams | None = None,
                     mask: SubdomainMask | None = None,
                     operator_factory=None) -> EigenPair:
     """Compute (lam_1^+, phi_1^+) or (lam_1^-, phi_1^-) of the family on the grid.
@@ -76,8 +67,7 @@ def principal_eigen(family: ControlFamily, grid: Grid, sign: str,
     """
     if sign not in ("+", "-"):
         raise UsageError("sign must be '+' or '-'")
-    params = params or EigenParams()
-    sigma = params.resolve_shift(family)
+    sigma = proper_shift(family)
     if operator_factory is None:
         def operator_factory(shift):
             return DiscreteOperator(family, grid, shift, mask)
@@ -89,18 +79,17 @@ def principal_eigen(family: ControlFamily, grid: Grid, sign: str,
     if incl is not None:
         start = np.where(incl, start, 0.0)
     u = GridFunction(grid, start, check_finite=False)
-    return _inverse_iteration(op_plain, op_shifted, sigma, u, sign, incl, params)
+    return _inverse_iteration(op_plain, op_shifted, sigma, u, sign, incl)
 
 
 def _inverse_iteration(op_plain, op_shifted, sigma: float, u: GridFunction, sign: str,
-                       incl: np.ndarray | None, params: EigenParams) -> EigenPair:
+                       incl: np.ndarray | None) -> EigenPair:
     """Shifted inverse power iteration from the start ``u`` until both the
     eigenvalue and the residual settle; every failure raises."""
     lam = np.inf
     trace = []
-    inner = SolveParams()
-    for it in range(1, params.max_iters + 1):
-        w, rep = solve(op_shifted, -u, params=inner)
+    for it in range(1, _MAX_ITERS + 1):
+        w, rep = solve(op_shifted, -u)
         if rep.status != CONVERGED:
             raise EigenIterationError(
                 f"inner proper solve failed with status {rep.status} at iteration {it}",
@@ -113,15 +102,14 @@ def _inverse_iteration(op_plain, op_shifted, sigma: float, u: GridFunction, sign
         u = w * (1.0 / nrm)
         resid = float(np.abs(op_plain.apply_flat(u.values) + lam_new * u.values).max())
         trace.append((lam_new, resid))
-        if abs(lam_new - lam) <= params.tol and resid <= params.residual_tol:
+        if abs(lam_new - lam) <= _TOL and resid <= _RESIDUAL_TOL:
             return EigenPair(sign, lam_new, u, resid, it)
         lam = lam_new
     raise EigenIterationError(
-        f"inverse iteration did not converge in {params.max_iters} iterations", trace)
+        f"inverse iteration did not converge in {_MAX_ITERS} iterations", trace)
 
 
 def mirrored_plus_eigen(family: ControlFamily, grid: Grid,
-                        params: EigenParams | None = None,
                         mask: SubdomainMask | None = None) -> EigenPair:
     """Positive-start iteration on the mirrored operator G[u] = -F[-u].
 
@@ -130,14 +118,13 @@ def mirrored_plus_eigen(family: ControlFamily, grid: Grid,
     """
     def factory(shift):
         return MirroredOperator(DiscreteOperator(family, grid, shift, mask))
-    return principal_eigen(family, grid, "+", params=params, mask=mask,
+    return principal_eigen(family, grid, "+", mask=mask,
                            operator_factory=factory)
 
 
 def eigen_bisect_crosscheck(family: ControlFamily, grid: Grid, sign: str,
                             bracket: tuple[float, float], n_steps: int = 40,
-                            mask: SubdomainMask | None = None,
-                            blowup_norm: float = 1e10) -> float:
+                            mask: SubdomainMask | None = None) -> float:
     """Locate the principal eigenvalue by bisection on a sign classification.
 
     For sign '+': solve (F + lam)[u] = -phi_probe with a positive probe;
@@ -157,15 +144,14 @@ def eigen_bisect_crosscheck(family: ControlFamily, grid: Grid, sign: str,
         probe = GridFunction(grid, np.where(mask.included, probe.values, 0.0),
                              check_finite=False)
     incl = None if mask is None else mask.included
-    params = SolveParams(blowup_norm=blowup_norm)
 
     def below(lam: float) -> bool:
         op = DiscreteOperator(family, grid, lam, mask)
         if sign == "+":
-            u, rep = solve(op, -probe, params=params)
+            u, rep = solve(op, -probe, blowup_norm=1e10)
             return rep.converged and _sign_ok(u.values, incl, "+")
         for s in (1.0, 10.0, 100.0):
-            u, rep = solve(op, probe, params=params, u0=probe * (-s))
+            u, rep = solve(op, probe, u0=probe * (-s), blowup_norm=1e10)
             if rep.converged and _sign_ok(u.values, incl, "-"):
                 return True
         return False
@@ -183,12 +169,12 @@ def eigen_bisect_crosscheck(family: ControlFamily, grid: Grid, sign: str,
     return 0.5 * (lo + hi)
 
 
-def subdomain_gap(family: ControlFamily, grid: Grid, mask: SubdomainMask,
-                  params: EigenParams | None = None) -> tuple[float, float]:
+def subdomain_gap(family: ControlFamily, grid: Grid, mask: SubdomainMask
+                  ) -> tuple[float, float]:
     """Principal positive eigenvalue on the full domain and on the masked
     subdomain; the gap must be strictly positive for a proper mask."""
-    full = principal_eigen(family, grid, "+", params=params)
-    sub = principal_eigen(family, grid, "+", params=params, mask=mask)
+    full = principal_eigen(family, grid, "+")
+    sub = principal_eigen(family, grid, "+", mask=mask)
     if not mask.is_full and not sub.lam > full.lam:
         raise EigenIterationError(
             f"expected strict subdomain gap, got {sub.lam} <= {full.lam}")
@@ -196,14 +182,14 @@ def subdomain_gap(family: ControlFamily, grid: Grid, mask: SubdomainMask,
 
 
 def simplicity_probe(family: ControlFamily, grid: Grid, n_starts: int = 5,
-                     seed: int = 0, tol: float = 1e-6,
-                     params: EigenParams | None = None) -> dict:
+                     seed: int = 0) -> dict:
     """Run inverse iteration from distinct seeded positive starts and
-    measure the spread of the limits (discrete simplicity evidence).
-    A start that does not converge raises ``EigenIterationError``."""
-    params = params or EigenParams()
+    measure the spread of the limits (discrete simplicity evidence); the
+    probe passes when the spread is at most 1e-6. A start that does not
+    converge raises ``EigenIterationError``."""
+    tol = 1e-6
     rng = np.random.default_rng(seed)
-    sigma = params.resolve_shift(family)
+    sigma = proper_shift(family)
     op_plain = DiscreteOperator(family, grid, 0.0)
     op_shifted = DiscreteOperator(family, grid, -sigma)
     limits = []
@@ -211,7 +197,7 @@ def simplicity_probe(family: ControlFamily, grid: Grid, n_starts: int = 5,
     for _ in range(n_starts):
         vals = 0.1 + rng.random(grid.num_nodes)
         u = GridFunction(grid, vals / vals.max(), check_finite=False)
-        pair = _inverse_iteration(op_plain, op_shifted, sigma, u, "+", None, params)
+        pair = _inverse_iteration(op_plain, op_shifted, sigma, u, "+", None)
         limits.append(pair.phi)
         iters.append(pair.iters)
     spread = max(sup_norm(a - b) for a in limits for b in limits)

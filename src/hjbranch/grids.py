@@ -71,11 +71,6 @@ class Grid:
     def ones(self) -> "GridFunction":
         return GridFunction(self, np.ones(self.num_nodes))
 
-    def sample(self, fn) -> "GridFunction":
-        """Sample a callable of the coordinates; fn maps (num_nodes, dim) -> (num_nodes,)."""
-        vals = np.asarray(fn(self.coords()), dtype=float).reshape(self.num_nodes)
-        return GridFunction(self, vals)
-
     def quad_weight(self) -> float:
         """Per-node quadrature weight h^dim."""
         return float(np.prod(self.h))
@@ -170,6 +165,17 @@ class GridFunction:
 def sup_norm(u: GridFunction) -> float:
     """Max of |u| over interior nodes."""
     return float(np.abs(u.values).max())
+
+
+def direction_cosine(u: GridFunction, phi: GridFunction) -> float:
+    """Cosine of the angle between u and phi as nodal vectors; 0 if either vanishes."""
+    a = u.values
+    b = phi.values
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.dot(a, b) / (na * nb))
 
 
 def signed_distance(u: GridFunction, u_ref: GridFunction) -> float:

@@ -36,44 +36,26 @@ MAX_ITERS = "MaxIters"
 SINGULAR = "SingularLinearization"
 
 
-@dataclass
-class SolveParams:
-    """Termination controls for one solve.
+BLOWUP_NORM = 1e8
+_MAX_POLICY_ITERS = 200
+_MAX_DAMPING_HALVINGS = 25
+_GUARD_FACTOR = 8.0
 
-    tol=None resolves to max(1e-10 * sup|f|, 1e-13) at call time.
+
+def resolve_tol(f_norm: float) -> float:
+    """Residual target for a right-hand side of sup norm ``f_norm``."""
+    return max(1e-10 * f_norm, 1e-13)
+
+
+def guard_tol(base_tol: float, matrix_scale: float, u_norm: float) -> float:
+    """Residual target adjusted for what double precision can certify.
+
+    Evaluating F_h[u] rounds at the level eps * |stencil| * |u|, so no
+    algorithm can verify residuals below that; the guard keeps
+    near-eigenvalue solves from spinning against an unreachable target.
     """
-
-    tol: float | None = None
-    max_policy_iters: int = 200
-    blowup_norm: float = 1e8
-    max_damping_halvings: int = 25
-    conditioning_guard: float = 8.0
-
-    def __post_init__(self):
-        if self.tol is not None and self.tol <= 0:
-            raise UsageError("tol must be positive")
-        if self.max_policy_iters < 1:
-            raise UsageError("max_policy_iters must be >= 1")
-        if self.blowup_norm <= 1:
-            raise UsageError("blowup_norm must exceed 1")
-
-    def resolve_tol(self, f_norm: float) -> float:
-        if self.tol is not None:
-            return self.tol
-        return max(1e-10 * f_norm, 1e-13)
-
-    def guard_tol(self, base_tol: float, matrix_scale: float, u_norm: float) -> float:
-        """Residual target adjusted for what double precision can certify.
-
-        Evaluating F_h[u] rounds at the level eps * |stencil| * |u|, so no
-        algorithm can verify residuals below that; the guard keeps
-        near-eigenvalue solves from spinning against an unreachable target.
-        Disabled when conditioning_guard <= 0.
-        """
-        if self.conditioning_guard <= 0:
-            return base_tol
-        eps = np.finfo(float).eps
-        return max(base_tol, self.conditioning_guard * eps * matrix_scale * max(1.0, u_norm))
+    eps = np.finfo(float).eps
+    return max(base_tol, _GUARD_FACTOR * eps * matrix_scale * max(1.0, u_norm))
 
 
 @dataclass
@@ -102,21 +84,21 @@ class SolveReport:
         }
 
 
-def solve(op, f: GridFunction, params: SolveParams | None = None,
-          u0: GridFunction | None = None) -> tuple[GridFunction, SolveReport]:
+def solve(op, f: GridFunction, u0: GridFunction | None = None,
+          blowup_norm: float = BLOWUP_NORM) -> tuple[GridFunction, SolveReport]:
     """Solve F_h[u] = f by policy iteration with damped fallback.
 
     Returns the last iterate together with a report; the caller decides
     what a non-``Converged`` status means in its regime. A ``Converged``
     result always satisfies a fresh-residual check against the resolved
-    tolerance.
+    tolerance. An iterate with sup norm above ``blowup_norm`` ends the
+    run as ``Diverged``.
     """
     if f.grid != op.grid:
         raise UsageError("right-hand side lives on a different grid")
-    params = params or SolveParams()
     incl = getattr(op, "_incl", None)
     f_flat = f.values if incl is None else np.where(incl, f.values, 0.0)
-    tol = params.resolve_tol(float(np.abs(f_flat).max()))
+    tol = resolve_tol(float(np.abs(f_flat).max()))
 
     if u0 is None:
         u = np.zeros(op.grid.num_nodes)
@@ -136,7 +118,7 @@ def solve(op, f: GridFunction, params: SolveParams | None = None,
     resid_vec = op.apply_flat(u) - f_flat
     resid = float(np.abs(resid_vec).max())
 
-    for k in range(1, params.max_policy_iters + 1):
+    for k in range(1, _MAX_POLICY_ITERS + 1):
         iters = k
         lin = op.linearize(u)
         try:
@@ -154,7 +136,7 @@ def solve(op, f: GridFunction, params: SolveParams | None = None,
             # damped fallback: first halving that restores descent
             accepted = False
             theta = 1.0
-            for _ in range(params.max_damping_halvings):
+            for _ in range(_MAX_DAMPING_HALVINGS):
                 theta *= 0.5
                 trial = u + theta * delta
                 trial_vec = op.apply_flat(trial) - f_flat
@@ -175,16 +157,15 @@ def solve(op, f: GridFunction, params: SolveParams | None = None,
             active_changes.append(int(np.count_nonzero(lin.active != prev_active)))
         prev_active = lin.active
         u_norm = float(np.abs(u).max())
-        if u_norm > params.blowup_norm:
+        if u_norm > blowup_norm:
             status = DIVERGED
             break
-        eff_tol = params.guard_tol(tol, mat_scale, u_norm)
+        eff_tol = guard_tol(tol, mat_scale, u_norm)
         if resid <= eff_tol:
             status = CONVERGED
             break
 
-    out = GridFunction(op.grid, u, check_finite=False) if np.all(np.isfinite(u)) \
-        else GridFunction(op.grid, np.where(np.isfinite(u), u, 0.0), check_finite=False)
+    out = GridFunction(op.grid, np.where(np.isfinite(u), u, 0.0), check_finite=False)
     # fresh verification, independent of the inner solves
     final_resid = float(np.abs(op.apply_flat(out.values) - f_flat).max())
     if status == CONVERGED and final_resid > eff_tol:
@@ -194,33 +175,31 @@ def solve(op, f: GridFunction, params: SolveParams | None = None,
     return out, report
 
 
-def solve_with_starts(op, f: GridFunction, starts, params: SolveParams | None = None):
+def solve_with_starts(op, f: GridFunction, starts):
     """Try a ladder of initial guesses; return (u, report, index) of the first
     converged start, or (None, last_report, -1) if none converged."""
     last = None
     for idx, u0 in enumerate(starts):
-        u, rep = solve(op, f, params=params, u0=u0)
+        u, rep = solve(op, f, u0=u0)
         if rep.converged:
             return u, rep, idx
         last = rep
     return None, last, -1
 
 
-def basin_census(op, f: GridFunction, starts, params: SolveParams | None = None,
-                 distinct_gap: float | None = None):
+def basin_census(op, f: GridFunction, starts, distinct_gap: float | None = None):
     """Solve from every start and cluster the converged results.
 
     Returns a list of (representative u, multiplicity, start indices),
     where two solutions are identified when their sup distance is below
     ``distinct_gap`` (default 10x the resolved tolerance).
     """
-    params = params or SolveParams()
     gap = distinct_gap
     if gap is None:
-        gap = 10.0 * params.resolve_tol(sup_norm(f))
+        gap = 10.0 * resolve_tol(sup_norm(f))
     clusters: list[list] = []
     for idx, u0 in enumerate(starts):
-        u, rep = solve(op, f, params=params, u0=u0)
+        u, rep = solve(op, f, u0=u0)
         if not rep.converged:
             continue
         placed = False
@@ -250,8 +229,7 @@ class ComparisonReport:
         return (not self.premise_holds) or self.worst_violation <= self.slack
 
 
-def check_comparison(op, u: GridFunction, v: GridFunction,
-                     slack_scale: float = 1e-10) -> ComparisonReport:
+def check_comparison(op, u: GridFunction, v: GridFunction) -> ComparisonReport:
     """Discrete comparison: F_h[u] <= F_h[v] pointwise should force u >= v.
 
     Report-only; the caller certifies the positive-eigenvalue regime.
@@ -259,7 +237,7 @@ def check_comparison(op, u: GridFunction, v: GridFunction,
     Fu = op.apply_flat(u.values)
     Fv = op.apply_flat(v.values)
     scale = 1.0 + max(np.abs(Fu).max(), np.abs(Fv).max(), sup_norm(u), sup_norm(v))
-    slack = slack_scale * scale
+    slack = 1e-10 * scale
     premise_gap = float((Fu - Fv).max())
     worst = float(np.maximum(v.values - u.values, 0.0).max())
     return ComparisonReport(premise_gap, worst, slack)

@@ -435,9 +435,6 @@ class DiscreteOperator:
             diag = np.where(self._incl, diag, 1.0)
         return Linearization(self.grid, self._incl, diag, st.bands(links), active)
 
-    def with_shift(self, shift: float) -> "DiscreteOperator":
-        return DiscreteOperator(self.family, self.grid, shift, self.mask)
-
     def matrix_scale(self) -> float:
         """Rough inf-norm of any linearization, for conditioning-aware tolerances."""
         env = self.family.envelope
@@ -471,9 +468,6 @@ class MirroredOperator:
     def linearize(self, u: GridFunction | np.ndarray) -> Linearization:
         flat = u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float)
         return self.inner.linearize(-flat)
-
-    def with_shift(self, shift: float) -> "MirroredOperator":
-        return MirroredOperator(self.inner.with_shift(shift))
 
     def matrix_scale(self) -> float:
         return self.inner.matrix_scale()

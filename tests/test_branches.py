@@ -3,7 +3,7 @@ import pytest
 
 from conftest import discrete_lam1
 from hjbranch.errors import ConfigurationError, RegimeError
-from hjbranch.grids import GridFunction, sup_norm
+from hjbranch.grids import GridFunction, build_grid, sup_norm
 from hjbranch.branches import (
     AT_LAM_MINUS,
     AT_LAM_PLUS,
@@ -281,3 +281,49 @@ def test_interior_max_middle_third(grid199):
     x = grid199.coords()[:, 0]
     u = GridFunction(grid199, np.where((x > 0.4) & (x < 0.45), -1.0, -5.0))
     assert interior_max(u) == -1.0
+
+
+def _never_converges_at(monkeypatch, bad_f):
+    """Make ``solve`` and ``solve_with_starts`` in the branch module fail for
+    the right-hand side ``bad_f`` and behave normally otherwise."""
+    import hjbranch.branches as branches
+    from hjbranch.howard import MAX_ITERS, SolveReport
+
+    solve, solve_with_starts = branches.solve, branches.solve_with_starts
+
+    def failing_solve(op, f, *args, **kwargs):
+        if np.array_equal(f.values, bad_f.values):
+            return f.grid.zeros(), SolveReport(MAX_ITERS, 0)
+        return solve(op, f, *args, **kwargs)
+
+    def failing_starts(op, f, starts):
+        if np.array_equal(f.values, bad_f.values):
+            return None, SolveReport(MAX_ITERS, 0), -1
+        return solve_with_starts(op, f, starts)
+
+    monkeypatch.setattr(branches, "solve", failing_solve)
+    monkeypatch.setattr(branches, "solve_with_starts", failing_starts)
+
+
+def test_sweep_driver_unsolved_parameter(monkeypatch):
+    g = build_grid(1, (0.0, 1.0), 49)
+    cfg = BranchConfig(ControlFamily.fucik(5.0), g, 0.0, (-5.0, 5.0), 5)
+    ctx = prepare(cfg)
+    _never_converges_at(monkeypatch, ctx.rhs(2.5))
+    with pytest.raises(RegimeError, match=r"t=2\.5: MaxIters"):
+        sweep_subcritical(cfg, ctx)
+
+
+def test_sweep_driver_drops_unsolved_parameter_at_resonance_minus(monkeypatch):
+    g = build_grid(1, (0.0, 1.0), 49)
+    x = g.coords()[:, 0]
+    cfg = BranchConfig(ControlFamily.fucik(discrete_lam1(49) + 4.0), g, AT_LAM_MINUS,
+                       (-3.0, 3.0), 5, h_fun=GridFunction(g, x * (1 - x)))
+    ctx = prepare(cfg)
+    phi = np.sin(np.pi * x)
+    t_star = -float(np.dot(x * (1 - x), phi) / np.dot(phi, phi))
+    full = [p.t for p in trace_resonant_branch(cfg, "-", t_star, ctx).points]
+    bad_t = full[len(full) // 2]
+    _never_converges_at(monkeypatch, ctx.rhs(bad_t))
+    dropped = [p.t for p in trace_resonant_branch(cfg, "-", t_star, ctx).points]
+    assert dropped == [t for t in full if t != bad_t]

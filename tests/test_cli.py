@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hjbranch.cli as cli
 
@@ -164,3 +166,88 @@ def test_run_json_contents(tmp_path):
     assert run["seeds"][0] == 3
     assert "hjbranch" in run["versions"]
     assert run["exit_code"] == 0
+
+
+def resonance_scenario() -> dict:
+    return {
+        "grid": {"dim": 1, "extents": [[0.0, 1.0]], "n": [49]},
+        "family": {"kind": "fucik", "b_plus": 13.9, "b_minus": 0.0},
+        "lam": {"mode": "at_lam_minus", "offset": 0.0},
+        "h_fun": {"kind": "poly", "coeffs": [0.0, 1.0, -1.0]},
+        "branch": {"t_range": [-3.0, 3.0], "n_samples": 5, "resonance_levels": 3},
+        "solve_t": 0.0,
+    }
+
+
+def _replace(data: dict, keys: tuple, value) -> dict:
+    node = data
+    for k in keys[:-1]:
+        node = node[k]
+    node[keys[-1]] = value
+    return data
+
+
+NAN, INF = float("nan"), float("inf")
+MALFORMED = [
+    ("family.b_plus", ("family", "b_plus"), INF),
+    ("family.b_plus", ("family", "b_plus"), NAN),
+    ("family.b_plus", ("family", "b_plus"), "5"),
+    ("h_fun.coeffs[0]", ("h_fun", "coeffs"), ["a"]),
+    ("solve_t", ("solve_t",), "a"),
+    ("grid", ("grid",), "x"),
+    ("grid.extents[0][1]", ("grid", "extents"), [[0, INF]]),
+    ("lam", ("lam",), NAN),
+    ("lam.offset", ("lam", "offset"), NAN),
+]
+
+
+@pytest.mark.parametrize("path, keys, value", MALFORMED,
+                         ids=[f"{c[0]}={c[2]!r}" for c in MALFORMED])
+def test_malformed_number_exits_2_with_path(tmp_path, capsys, path, keys, value):
+    data = _replace(resonance_scenario(), keys, value)
+    code = cli.main(["eigen", write_scenario(tmp_path, data), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def _leaves(node, keys=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        yield keys
+        return
+    for k, v in items:
+        yield from _leaves(v, keys + (k,))
+
+
+FUZZ_BASES = [json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.json"))] + [
+    resonance_scenario(),
+    {**minimal_scenario(),
+     "family": {"kind": "linear", "diffusion": [[1.0]], "drift": [0.5], "zeroth": -1.0,
+                "dim": 1},
+     "h_fun": {"kind": "sine", "amplitudes": [1.0, 0.5]}, "seeds": [1, 2],
+     "dump_points": False, "name": "fuzz"},
+    {**minimal_scenario(),
+     "family": {"kind": "finite_sup", "controls": [
+         {"diffusion": [[1.0]], "drift": [1.0], "zeroth": 0.0},
+         {"diffusion": 2.0, "drift": -1.0, "zeroth": 1.0}]}},
+    {"grid": {"dim": 2, "extents": [[0.0, 1.0], [0.0, 2.0]], "n": [7, 9]},
+     "family": {"kind": "pucci_minus", "lam_ell": 1.0, "Lam_ell": 2.0, "dim": 2}},
+]
+FUZZ_VALUES = [NAN, INF, -INF, "a", True, False, None, [], [1.0, 2.0],
+               -2, -1, 0, 1, 2, 3, -0.5, 0.5, 1.5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_validate_scenario_fuzz_raises_only_schema_errors(data):
+    base = data.draw(st.sampled_from(FUZZ_BASES))
+    keys = data.draw(st.sampled_from(list(_leaves(base))))
+    value = data.draw(st.sampled_from(FUZZ_VALUES))
+    scenario = _replace(json.loads(json.dumps(base)), keys, value)
+    try:
+        cli.validate_scenario(scenario)
+    except (cli.ConfigurationError, cli.AdmissibilityError):
+        pass

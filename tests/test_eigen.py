@@ -3,11 +3,12 @@ import pytest
 
 from conftest import discrete_lam1
 from hjbranch.errors import BracketError, EigenIterationError
+import hjbranch.eigen
 from hjbranch.eigen import (
-    EigenParams,
     eigen_bisect_crosscheck,
     mirrored_plus_eigen,
     principal_eigen,
+    proper_shift,
     simplicity_probe,
     subdomain_gap,
 )
@@ -133,10 +134,10 @@ def test_simplicity_probe(grid199):
     assert probe["spread"] <= 1e-6
 
 
-def test_simplicity_probe_unconverged_start_raises(grid199):
-    with pytest.raises(EigenIterationError):
-        simplicity_probe(ControlFamily.fucik(5.0), grid199, n_starts=2,
-                         params=EigenParams(max_iters=3))
+def test_simplicity_probe_unconverged_start_raises(grid199, monkeypatch):
+    monkeypatch.setattr(hjbranch.eigen, "_MAX_ITERS", 3)
+    with pytest.raises(EigenIterationError, match="in 3 iterations"):
+        simplicity_probe(ControlFamily.fucik(5.0), grid199, n_starts=2)
 
 
 def test_hopf_boundary_positivity(grid199):
@@ -153,7 +154,7 @@ def test_2d_eigen():
     assert ep.phi.min() > 0
 
 
-def test_eigen_params_shift_is_proper(grid199):
+def test_proper_shift_is_proper(grid199):
     fam = ControlFamily.fucik(15.0)
-    sigma = EigenParams().resolve_shift(fam)
+    sigma = proper_shift(fam)
     assert sigma >= fam.max_zeroth + 1.0

@@ -7,7 +7,6 @@ from hjbranch.howard import (
     CONVERGED,
     DIVERGED,
     SINGULAR,
-    SolveParams,
     basin_census,
     check_abp,
     check_comparison,
@@ -87,7 +86,7 @@ def test_diverged_status(grid199, sine, lam_h199):
     # beyond the eigenvalue with a resonant start the iterates blow up
     op = DiscreteOperator(ControlFamily.laplacian(dim=1), grid199,
                           lam_h199 + 1e-13)
-    u, rep = solve(op, sine * 1.0, params=SolveParams(blowup_norm=1e6))
+    u, rep = solve(op, sine * 1.0, blowup_norm=1e6)
     assert rep.status in (DIVERGED, SINGULAR)
 
 
