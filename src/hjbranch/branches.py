@@ -661,14 +661,13 @@ def _negative_subsolution(ctx: BranchContext, op: DiscreteOperator, t: float
     raise FoldTraceError("subsolution scaling did not certify")
 
 
-def _monotone_minimal(ctx: BranchContext, op: DiscreteOperator, t: float,
-                      u0: GridFunction) -> GridFunction | None:
-    """Increasing fixed-point iteration from a subsolution.
+def _monotone_minimal(ctx: BranchContext, op: DiscreteOperator, op_proper: DiscreteOperator,
+                      s0: float, t: float, u0: GridFunction) -> GridFunction | None:
+    """Increasing fixed-point iteration from a subsolution, with inner
+    solves on the proper operator ``op_proper`` = op - s0.
 
     Returns the minimal solution above u0, or None if the iterates blow
     up (no solution at this t)."""
-    s0 = ctx.family.max_zeroth + max(ctx.lam, 0.0) + 1.0
-    op_proper = ctx.operator(ctx.lam - s0)
     f = ctx.rhs(t)
     u = u0
     tol_fp = resolve_tol(sup_norm(f))
@@ -705,6 +704,25 @@ def _fold_point(ctx: BranchContext, op: DiscreteOperator, t: float, u: GridFunct
     return BranchPoint(t, u, 0.0, _tags(u), SolveReport(CONVERGED, 0, [resid], [], tol, resid))
 
 
+def _minimal_branch(ctx: BranchContext, op: DiscreteOperator, ts_desc: np.ndarray
+                    ) -> tuple[list[BranchPoint], tuple[float, float] | None]:
+    """Minimal solutions for decreasing t until existence fails; returns the
+    points in increasing t and the (failed t, last solved t) bracket, or
+    None if every t was solved. The proper operator of the monotone
+    iteration is shared by every t and released on return."""
+    s0 = ctx.family.max_zeroth + max(ctx.lam, 0.0) + 1.0
+    op_proper = ctx.operator(ctx.lam - s0)
+    points: list[BranchPoint] = []
+    for t in ts_desc:
+        u0 = _negative_subsolution(ctx, op, float(t))
+        u = _monotone_minimal(ctx, op, op_proper, s0, float(t), u0)
+        if u is None:
+            prev_t = points[-1].t if points else float(t)
+            return sorted(points, key=lambda p: p.t), (float(t), prev_t)
+        points.append(_fold_point(ctx, op, float(t), u))
+    return sorted(points, key=lambda p: p.t), None
+
+
 def trace_fold(cfg: BranchConfig, ctx: BranchContext | None = None
                ) -> tuple[Branch, Branch, CriticalReport]:
     """Minimal branch, second branch and the fold for lam between the
@@ -716,21 +734,8 @@ def trace_fold(cfg: BranchConfig, ctx: BranchContext | None = None
             f"/ {ctx.lam} / {ctx.eig_minus.lam}")
     op = ctx.operator()
     t_min, t_max = cfg.t_range
-
-    # minimal branch downward until existence fails
-    ts_desc = np.linspace(t_max, t_min, cfg.n_samples)
-    minimal_points: list[BranchPoint] = []
-    fail_bracket = None
-    for t in ts_desc:
-        u0 = _negative_subsolution(ctx, op, float(t))
-        u = _monotone_minimal(ctx, op, float(t), u0)
-        if u is None:
-            prev_t = minimal_points[-1].t if minimal_points else float(t)
-            fail_bracket = (float(t), prev_t)
-            break
-        minimal_points.append(_fold_point(ctx, op, float(t), u))
-    minimal_points.sort(key=lambda p: p.t)
-
+    minimal_points, fail_bracket = _minimal_branch(
+        ctx, op, np.linspace(t_max, t_min, cfg.n_samples))
     if not minimal_points:
         raise FoldTraceError("no minimal solutions found anywhere in t_range")
 
@@ -824,6 +829,20 @@ def _continue_in_d(ctx: BranchContext, op: DiscreteOperator, u_start: GridFuncti
     def merit(u_flat, t, c):
         return float(np.abs(residual(u_flat, t)).max()) + abs(c) * op.matrix_scale()
 
+    def bordered(L, jstar):
+        """[[L, -phi], [e_jstar, 0]] in CSC form."""
+        e = np.zeros(N)
+        e[jstar] = 1.0
+        top = scipy.sparse.hstack([L, scipy.sparse.csc_matrix(-phi[:, None])])
+        bot = scipy.sparse.hstack([scipy.sparse.csc_matrix(e[None, :]),
+                                   scipy.sparse.csc_matrix([[0.0]])])
+        return scipy.sparse.vstack([top, bot]).tocsc()
+
+    # LU factors of the last two bordered systems, keyed by (policy, jstar),
+    # which determine the system; the policy alternates between two values
+    # along the path
+    factors: dict[tuple[bytes, int], scipy.sparse.linalg.SuperLU] = {}
+
     def correct(u0, t0, d_target):
         """Semismooth Newton on [F_h residual; (u - ref)[argmax] - d_target]."""
         u, t = u0.copy(), t0
@@ -836,17 +855,18 @@ def _continue_in_d(ctx: BranchContext, op: DiscreteOperator, u_start: GridFuncti
             if np.abs(r).max() <= guard_tol(1e-10 * scale, op.matrix_scale(), np.abs(u).max()) \
                     and abs(c) <= 1e-11 * scale:
                 return u, t, True
-            L = op.linearize(u).matrix
-            e = np.zeros(N)
-            e[jstar] = 1.0
-            top = scipy.sparse.hstack([L, scipy.sparse.csc_matrix(-phi[:, None])])
-            bot = scipy.sparse.hstack([scipy.sparse.csc_matrix(e[None, :]),
-                                       scipy.sparse.csc_matrix([[0.0]])])
-            J = scipy.sparse.vstack([top, bot]).tocsc()
+            lin = op.linearize(u)
+            key = (lin.active.tobytes(), jstar)
+            lu = factors.pop(key, None)
             try:
-                delta = scipy.sparse.linalg.splu(J).solve(-np.concatenate([r, [c]]))
+                if lu is None:
+                    lu = scipy.sparse.linalg.splu(bordered(lin.matrix, jstar))
+                delta = lu.solve(-np.concatenate([r, [c]]))
             except RuntimeError:
                 return u, t, False
+            factors[key] = lu
+            if len(factors) > 2:
+                del factors[next(iter(factors))]
             if not np.all(np.isfinite(delta)):
                 return u, t, False
             base = merit(u, t, c)

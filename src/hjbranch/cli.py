@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -47,6 +48,10 @@ EXIT_ASSERT = 1
 EXIT_SCHEMA = 2
 EXIT_ADMISSIBILITY = 3
 EXIT_RUNTIME = 4
+
+# Cap on the total node count, 65 times the finest grid of the 2D size
+# ladder (127^2 = 16129 nodes)
+_MAX_NODES = 2**20
 
 
 class Scenario:
@@ -240,6 +245,13 @@ def validate_scenario(raw: dict) -> dict:
     for i, n in enumerate(gd["n"]):
         _expect(_is_int(n) and n >= 3, f"grid.n[{i}]",
                 "needs at least 3 interior nodes")
+    _expect(math.prod(gd["n"]) <= _MAX_NODES, "grid.n",
+            f"must have at most {_MAX_NODES} nodes in total")
+    for i, ((a, b), n) in enumerate(zip(gd["extents"], gd["n"])):
+        length = float(b) - float(a)
+        h2 = (length / (n + 1)) * (length / (n + 1))
+        _expect(math.isfinite(length) and 0.0 < h2 < math.inf and math.isfinite(1.0 / h2),
+                f"grid.extents[{i}]", "length and stencil weight 1/h^2 must be finite")
     out["grid"] = {"dim": gd["dim"],
                    "extents": [[float(a), float(b)] for a, b in gd["extents"]],
                    "n": list(gd["n"])}

@@ -340,6 +340,8 @@ class DiscreteOperator:
     mask: SubdomainMask | None = None
     _incl: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
     _stencil: _Stencil = field(init=False, default=None, repr=False, compare=False)
+    # (active.tobytes(), Linearization) of the last linearize call
+    _last: tuple = field(init=False, default=(None, None), repr=False, compare=False)
 
     def __post_init__(self):
         if self.family.dim != self.grid.dim:
@@ -412,28 +414,43 @@ class DiscreteOperator:
         Ties select the lowest control index; the extremal kinds select
         the upper-coefficient branch of (D2u)^+ when the second
         difference is exactly zero.
+
+        The policy ``active`` determines the matrix (for the extremal
+        kinds it holds the per-axis branch bits), so an unchanged policy
+        returns the previous ``Linearization`` itself, with the
+        factorization it already holds.
         """
         flat = self._masked(u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float))
         st = self._stencil
         if st.pucci is None:
             active = np.argmax(self._control_values(flat), axis=0)
+        else:
+            uppers = [second / self.grid.h[ax] ** 2 >= 0.0
+                      for ax, (_, _, second) in enumerate(self._differences(flat))]
+            active = np.zeros(flat.size, dtype=int)
+            for ax, upper in enumerate(uppers):
+                active = active | (upper.astype(int) << ax)
+        key = active.tobytes()
+        last_key, lin = self._last
+        if last_key == key:
+            return lin
+        if st.pucci is None:
             diag = st.diag[active]
             links = [(up[active], low[active]) for up, low in st.links]
         else:
             w_pos, w_neg = st.pucci
             diag = np.full(flat.size, self.shift)
-            active = np.zeros(flat.size, dtype=int)
             links = []
-            for ax, (_, _, second) in enumerate(self._differences(flat)):
+            for ax, upper in enumerate(uppers):
                 h2 = self.grid.h[ax] ** 2
-                upper = second / h2 >= 0.0
                 w = np.where(upper, w_pos, w_neg)
                 links.append((w / h2, w / h2))
                 diag += -2.0 * w / h2
-                active = active | (upper.astype(int) << ax)
         if self._incl is not None:
             diag = np.where(self._incl, diag, 1.0)
-        return Linearization(self.grid, self._incl, diag, st.bands(links), active)
+        lin = Linearization(self.grid, self._incl, diag, st.bands(links), active)
+        object.__setattr__(self, "_last", (key, lin))
+        return lin
 
     def matrix_scale(self) -> float:
         """Rough inf-norm of any linearization, for conditioning-aware tolerances."""

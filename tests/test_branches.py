@@ -327,3 +327,68 @@ def test_sweep_driver_drops_unsolved_parameter_at_resonance_minus(monkeypatch):
     _never_converges_at(monkeypatch, ctx.rhs(bad_t))
     dropped = [p.t for p in trace_resonant_branch(cfg, "-", t_star, ctx).points]
     assert dropped == [t for t in full if t != bad_t]
+
+
+def _small_fold_cfg():
+    g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (15, 15))
+    return BranchConfig(ControlFamily.fucik(26.0, dim=2), g, 0.0, (-1.0, 3.0), 9)
+
+
+def test_fold_with_reused_factors_matches_fresh_factors(monkeypatch):
+    import scipy.sparse.linalg
+    from hjbranch.operators import DiscreteOperator
+
+    shipped = trace_fold(_small_fold_cfg())
+
+    # every linearization built anew, every solve on factors made for it
+    linearize, splu = DiscreteOperator.linearize, scipy.sparse.linalg.splu
+
+    def forgetful_linearize(op, u):
+        object.__setattr__(op, "_last", (None, None))
+        return linearize(op, u)
+
+    class FreshFactors:
+        def __init__(self, A):
+            self.A = A.copy()
+
+        def solve(self, rhs):
+            return splu(self.A).solve(rhs)
+
+    monkeypatch.setattr(DiscreteOperator, "linearize", forgetful_linearize)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", FreshFactors)
+    fresh = trace_fold(_small_fold_cfg())
+
+    (min_a, second_a, crit_a), (min_b, second_b, crit_b) = shipped, fresh
+    assert crit_a.t_star == crit_b.t_star
+    assert crit_a.bracket == crit_b.bracket
+    for a, b in ((min_a, min_b), (second_a, second_b)):
+        assert [p.t for p in a.points] == [p.t for p in b.points]
+        for p, q in zip(a.points, b.points):
+            assert np.array_equal(p.u.values, q.u.values)
+
+
+def test_fold_factorization_count_stays_below_policy_iterations(monkeypatch):
+    import scipy.sparse.linalg
+    import hjbranch.branches as branches
+    import hjbranch.eigen as eigen
+    import hjbranch.howard as howard
+
+    splu, solve = scipy.sparse.linalg.splu, howard.solve
+    factorizations, policy_iters = [0], [0]
+
+    def counting_splu(A, *args, **kwargs):
+        factorizations[0] += 1
+        return splu(A, *args, **kwargs)
+
+    def counting_solve(*args, **kwargs):
+        u, rep = solve(*args, **kwargs)
+        policy_iters[0] += rep.iters
+        return u, rep
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    for module in (howard, branches, eigen):
+        monkeypatch.setattr(module, "solve", counting_solve)
+    trace_fold(_small_fold_cfg())
+    # the count is machine-independent; without reuse it exceeds policy_iters
+    assert policy_iters[0] > 100
+    assert factorizations[0] <= policy_iters[0] // 4

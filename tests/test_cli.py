@@ -198,6 +198,11 @@ MALFORMED = [
     ("grid.extents[0][1]", ("grid", "extents"), [[0, INF]]),
     ("lam", ("lam",), NAN),
     ("lam.offset", ("lam", "offset"), NAN),
+    ("grid.n", ("grid", "n"), [2**70]),
+    ("grid.n", ("grid", "n"), [2**20 + 1]),
+    ("grid.extents[0]", ("grid", "extents"), [[-1e308, 1.0]]),
+    ("grid.extents[0]", ("grid", "extents"), [[-1e308, 1e308]]),
+    ("grid.extents[0]", ("grid", "extents"), [[0.0, 1e-160]]),
 ]
 
 

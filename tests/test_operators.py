@@ -146,6 +146,57 @@ def test_banded_solve_matches_sparse_matrix(masked):
         assert np.abs(lin.solve(rhs) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def assert_same_csc(a, b):
+    for part in ("data", "indices", "indptr"):
+        x, y = getattr(a, part), getattr(b, part)
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("name", ["fucik", "finite_sup", "pucci_plus"])
+@pytest.mark.parametrize("masked", [False, True], ids=["full", "half"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_linearize_reuses_linearization_while_policy_repeats(dim, masked, name):
+    grid, families = STENCILS[dim]
+    mask = half_domain_mask(grid) if masked else None
+    rng = np.random.default_rng(12)
+    u = rng.standard_normal(grid.num_nodes)
+    rhs = rng.standard_normal(grid.num_nodes)
+    if mask is not None:
+        u = np.where(mask.included, u, 0.0)
+    nodes = np.flatnonzero(u)
+    first, last = u.copy(), u.copy()
+    first[nodes[0]] *= -1.0
+    last[nodes[-1]] *= -1.0
+    op = DiscreteOperator(families[name], grid, -3.0, mask)
+    lin = op.linearize(u)
+    x = lin.solve(rhs)
+
+    # doubling u keeps every argmax and every sign of D2u: same policy
+    assert op.linearize(2.0 * u) is lin
+    assert np.array_equal(lin.solve(rhs), x)
+    # a changed policy, even at one node, gets a fresh linearization, and
+    # only the last one is kept; every one matches a fresh operator's
+    prev = lin
+    for v in (-u, first, last, u, 2.0 * u):
+        got = op.linearize(v)
+        fresh = DiscreteOperator(families[name], grid, -3.0, mask).linearize(v)
+        assert (got is prev) == np.array_equal(got.active, prev.active)
+        assert np.array_equal(got.active, fresh.active)
+        assert_same_csc(got.matrix, fresh.matrix)
+        assert np.array_equal(got.solve(rhs), fresh.solve(rhs))
+        prev = got
+    assert prev is not lin
+    assert np.array_equal(prev.solve(rhs), x)
+
+    # operators differing only in shift or mask share nothing
+    other_mask = None if masked else half_domain_mask(grid)
+    for other in (DiscreteOperator(families[name], grid, -2.0, mask),
+                  DiscreteOperator(families[name], grid, -3.0, other_mask)):
+        lin_other = other.linearize(u)
+        assert lin_other is not op.linearize(u)
+        assert not np.array_equal(lin_other.diag, lin.diag)
+
+
 @st.composite
 def finite_sup_operators(draw):
     """Random small grid, random finite_sup family passing the CFL check,
