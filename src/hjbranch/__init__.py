@@ -42,8 +42,6 @@ from .grids import (
     build_grid,
     eigen_bump,
     half_domain_mask,
-    interpolate_to,
-    restrict_to_mask,
     signed_distance,
     sup_norm,
 )
@@ -73,10 +71,9 @@ __all__ = [
     "SolveReport", "SubdomainMask", "basin_census", "build_grid",
     "check_abp", "check_comparison", "check_h0_h3", "default_suite",
     "eigen_bisect_crosscheck", "eigen_bump", "emit_traceability",
-    "half_domain_mask", "interpolate_to", "locate_tstar_resonance",
-    "make_teo6_family",
-    "mirrored_plus_eigen", "prepare", "principal_eigen", "restrict_to_mask",
-    "run_suite", "signed_distance", "simplicity_probe", "solve",
+    "half_domain_mask", "locate_tstar_resonance", "make_teo6_family",
+    "mirrored_plus_eigen", "prepare", "principal_eigen", "run_suite",
+    "signed_distance", "simplicity_probe", "solve",
     "solve_with_starts", "subdomain_gap", "sup_norm", "sweep_negative_regime",
     "sweep_subcritical", "trace_fold", "trace_resonant_branch",
     "uniqueness_probe_teo6",

@@ -118,8 +118,7 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 
 def svg_diagram(path, curves: list[tuple[str, list[tuple[float, float]]]],
                 markers: list[tuple[str, float]] | None = None,
-                title: str = "solution set", xlabel: str = "t",
-                ylabel: str = "d") -> None:
+                title: str = "solution set") -> None:
     """Polyline diagram of branches in the (t, d) plane.
 
     curves: list of (label, [(t, d), ...]); markers: list of (label, t)
@@ -170,10 +169,10 @@ def svg_diagram(path, curves: list[tuple[str, list[tuple[float, float]]]],
         parts.append(f'<text x="{ml - 8}" y="{Y(ty) + 4:.2f}" text-anchor="end" '
                      f'font-size="11" font-family="sans-serif">{ty:g}</text>')
     parts.append(f'<text x="{W / 2:.1f}" y="{H - 12}" text-anchor="middle" '
-                 f'font-size="13" font-family="sans-serif">{xlabel}</text>')
+                 f'font-size="13" font-family="sans-serif">t</text>')
     parts.append(f'<text x="18" y="{H / 2:.1f}" text-anchor="middle" font-size="13" '
                  f'font-family="sans-serif" transform="rotate(-90 18 {H / 2:.1f})">'
-                 f'{ylabel}</text>')
+                 'd</text>')
     for i, (label, curve) in enumerate(curves):
         color = _SVG_COLORS[i % len(_SVG_COLORS)]
         pts = " ".join(f"{X(x):.2f},{Y(y):.2f}" for x, y in curve)

@@ -87,7 +87,6 @@ class BranchConfig:
     h_fun: GridFunction | None = None
     lam_offset: float = 0.0
     resonance_seq: tuple[float, ...] = DEFAULT_RESONANCE_SEQ
-    strict: bool = True
 
     def __post_init__(self):
         if not self.t_range[0] < self.t_range[1]:
@@ -320,14 +319,13 @@ def sweep_subcritical(cfg: BranchConfig, ctx: BranchContext | None = None) -> Br
     ds = [p.d for p in points]
     d_monotone = all(ds[i] > ds[i + 1] for i in range(len(ds) - 1))
     diagnostics = {**order, "lipschitz": lipschitz, "d_monotone": d_monotone}
-    if cfg.strict:
-        if order["strict_decrease_gap"] <= 0:
-            raise RegimeError(
-                f"branch not strictly decreasing (gap {order['strict_decrease_gap']})")
-        if order["convexity_violation"] > order["convexity_slack"]:
-            raise RegimeError(f"midpoint convexity violated by {order['convexity_violation']}")
-        if not d_monotone:
-            raise RegimeError("signed distance not strictly monotone along the branch")
+    if order["strict_decrease_gap"] <= 0:
+        raise RegimeError(
+            f"branch not strictly decreasing (gap {order['strict_decrease_gap']})")
+    if order["convexity_violation"] > order["convexity_slack"]:
+        raise RegimeError(f"midpoint convexity violated by {order['convexity_violation']}")
+    if not d_monotone:
+        raise RegimeError("signed distance not strictly monotone along the branch")
     return Branch(points, ref, ctx.lam, diagnostics)
 
 
@@ -607,7 +605,7 @@ def trace_resonant_branch(cfg: BranchConfig, sign: str, t_star: float,
     # ordering and convexity along the swept (unique/minimal) part
     ordered = points if sign == "+" else [p for p in points if p.t >= t_star + 0.05]
     diagnostics.update(_ordering(ordered))
-    if cfg.strict and sign == "+":
+    if sign == "+":
         if diagnostics["strict_decrease_gap"] <= 0:
             raise RegimeError("resonant branch lost strict ordering")
         if diagnostics["convexity_violation"] > diagnostics["convexity_slack"]:
@@ -801,7 +799,7 @@ def trace_fold(cfg: BranchConfig, ctx: BranchContext | None = None
     fold_point = second_points[fold_idx]
     q_near = min(minimal_points, key=lambda m: abs(m.t - fold_point.t))
     minimal.diagnostics["merge_gap"] = sup_norm(fold_point.u - q_near.u)
-    if cfg.strict and gaps and min(gaps) <= gap_tol:
+    if gaps and min(gaps) <= gap_tol:
         raise FoldTraceError("branches not distinct above the fold")
     return minimal, second, report
 
@@ -1043,17 +1041,16 @@ def sweep_negative_regime(cfg: BranchConfig, ctx: BranchContext | None = None) -
         "antimaximum": antimax,
         "gap": gap,
     }
-    if cfg.strict:
-        h_scale = 1.0 + sup_norm(ctx.h)
-        if cfg.t_range[0] <= -5.0 * h_scale and (
-                t_minus_probe is None or points[0].u.max() >= 0):
-            raise RegimeError("very negative t did not produce a negative solution")
-        if cfg.t_range[1] >= 10.0 * h_scale and not (sup_top > sup_mid > 0):
-            raise RegimeError("sup u growth probe failed for large t")
-        bad = [k for k, st in antimax.items()
-               if not st["converged"] or not st["max"] < 0]
-        if bad:
-            raise RegimeError(f"antimaximum check failed for k={bad}")
+    h_scale = 1.0 + sup_norm(ctx.h)
+    if cfg.t_range[0] <= -5.0 * h_scale and (
+            t_minus_probe is None or points[0].u.max() >= 0):
+        raise RegimeError("very negative t did not produce a negative solution")
+    if cfg.t_range[1] >= 10.0 * h_scale and not (sup_top > sup_mid > 0):
+        raise RegimeError("sup u growth probe failed for large t")
+    bad = [k for k, st in antimax.items()
+           if not st["converged"] or not st["max"] < 0]
+    if bad:
+        raise RegimeError(f"antimaximum check failed for k={bad}")
     return Branch(points, ref, lam, diagnostics)
 
 

@@ -5,13 +5,12 @@ solution set (uniqueness of the eigenfunction, comparison, sign
 structure of branches, ...) and maps it to concrete computations in the
 spectral, solver and branch modules. A run produces one result per
 check with the exact invariant string that was evaluated, a pass/fail
-status (or attached evidence for checks whose full content lives in the
-mesh-refinement limit), and key metrics for regression tracking.
+status and key metrics for regression tracking. The only inputs of a
+check are its grid and its seed.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,29 +31,25 @@ from .operators import ControlFamily, DiscreteOperator
 THEOREM_IDS = ("T1.1", "T1.2", "T1.3", "T1.4", "T1.5", "T1.6",
                "T2.1", "T2.3", "T2.4", "L2.8", "P4.4", "P6.1")
 
-ASSERT = "Assert"
-EVIDENCE = "Evidence"
-
 
 @dataclass
 class CheckSpec:
+    """One check on one grid (default: the interval [0, 1] with n=199);
+    ``seed`` drives the seeded checks T1.6, T2.1 and T2.3."""
+
     theorem_id: str
-    family: ControlFamily | None = None
     grid: Grid | None = None
-    params: dict = field(default_factory=dict)
-    severity: str = ASSERT
+    seed: int = 0
 
     def __post_init__(self):
         if self.theorem_id not in THEOREM_IDS:
             raise ConfigurationError(f"unknown theorem id {self.theorem_id!r}")
-        if self.severity not in (ASSERT, EVIDENCE):
-            raise ConfigurationError(f"unknown severity {self.severity!r}")
 
 
 @dataclass
 class CheckResult:
     theorem_id: str
-    status: str  # Pass | Fail | Evidence
+    status: str  # Pass | Fail
     invariant: str
     metrics: dict = field(default_factory=dict)
     artifacts: list = field(default_factory=list)
@@ -79,11 +74,7 @@ def _laplacian_lam_plus(grid: Grid) -> float:
 
 def _run_t11(spec: CheckSpec) -> CheckResult:
     g = _grid(spec)
-    fam = spec.family or ControlFamily.fucik(5.0, dim=g.dim)
-    p = spec.params
-    cfg = br.BranchConfig(fam, g, p.get("lam", 0.0),
-                          tuple(p.get("t_range", (-5.0, 5.0))),
-                          p.get("n_samples", 21))
+    cfg = br.BranchConfig(ControlFamily.fucik(5.0, dim=g.dim), g, 0.0, (-5.0, 5.0), 21)
     branch = br.sweep_subcritical(cfg)
     lo, hi = branch.points[0], branch.points[-1]
     ok = (branch.diagnostics["strict_decrease_gap"] > 0
@@ -102,11 +93,8 @@ def _run_t11(spec: CheckSpec) -> CheckResult:
 
 def _run_t12(spec: CheckSpec) -> CheckResult:
     g = _grid(spec)
-    fam = spec.family or ControlFamily.fucik(_laplacian_lam_plus(g), dim=g.dim)
-    p = spec.params
-    cfg = br.BranchConfig(fam, g, br.AT_LAM_PLUS,
-                          tuple(p.get("t_range", (-3.0, 12.0))),
-                          p.get("n_samples", 11))
+    fam = ControlFamily.fucik(_laplacian_lam_plus(g), dim=g.dim)
+    cfg = br.BranchConfig(fam, g, br.AT_LAM_PLUS, (-3.0, 12.0), 11)
     ctx = br.prepare(cfg)
     crit = br.locate_tstar_resonance(cfg, "+", ctx)
     halfw = 0.5 * (crit.bracket[1] - crit.bracket[0])
@@ -134,11 +122,7 @@ def _run_t12(spec: CheckSpec) -> CheckResult:
 
 def _run_t13(spec: CheckSpec) -> CheckResult:
     g = _grid(spec)
-    fam = spec.family or ControlFamily.fucik(15.0, dim=g.dim)
-    p = spec.params
-    cfg = br.BranchConfig(fam, g, p.get("lam", 0.0),
-                          tuple(p.get("t_range", (-1.0, 3.0))),
-                          p.get("n_samples", 17))
+    cfg = br.BranchConfig(ControlFamily.fucik(15.0, dim=g.dim), g, 0.0, (-1.0, 3.0), 17)
     ctx = br.prepare(cfg)
     if not ctx.eig_plus.lam < ctx.lam < ctx.eig_minus.lam:
         raise ConfigurationError(
@@ -146,9 +130,7 @@ def _run_t13(spec: CheckSpec) -> CheckResult:
             f"{ctx.eig_plus.lam} / {ctx.lam} / {ctx.eig_minus.lam}")
     minimal, second, crit = br.trace_fold(cfg, ctx)
     op = ctx.operator()
-    t_probe = p.get("t_probe", 1.0)
-    census = basin_census(op, ctx.rhs(t_probe), ctx.ladder(1.0 + abs(t_probe)),
-                          distinct_gap=1e-4)
+    census = basin_census(op, ctx.rhs(1.0), ctx.ladder(2.0), distinct_gap=1e-4)
     below = basin_census(op, ctx.rhs(crit.t_star - 0.5), ctx.ladder(2.0))
     ok = (len(census) >= 2 and len(below) == 0
           and minimal.diagnostics["branch_gap_min"] > 1e-4)
@@ -175,15 +157,8 @@ def _resonance_minus_family(g: Grid) -> tuple[ControlFamily, GridFunction]:
 
 def _run_t14(spec: CheckSpec) -> CheckResult:
     g = _grid(spec)
-    if spec.family is not None:
-        fam = spec.family
-        h_fun = spec.params.get("h_fun")
-    else:
-        fam, h_fun = _resonance_minus_family(g)
-    p = spec.params
-    cfg = br.BranchConfig(fam, g, br.AT_LAM_MINUS,
-                          tuple(p.get("t_range", (-3.0, 3.0))),
-                          p.get("n_samples", 11), h_fun=h_fun)
+    fam, h_fun = _resonance_minus_family(g)
+    cfg = br.BranchConfig(fam, g, br.AT_LAM_MINUS, (-3.0, 3.0), 11, h_fun=h_fun)
     ctx = br.prepare(cfg)
     crit = br.locate_tstar_resonance(cfg, "-", ctx)
     halfw = 0.5 * (crit.bracket[1] - crit.bracket[0])
@@ -214,16 +189,9 @@ def _run_t14(spec: CheckSpec) -> CheckResult:
 
 def _run_t15(spec: CheckSpec) -> CheckResult:
     g = _grid(spec)
-    if spec.family is not None:
-        fam = spec.family
-        h_fun = spec.params.get("h_fun")
-    else:
-        fam, h_fun = _resonance_minus_family(g)
-    p = spec.params
-    cfg = br.BranchConfig(fam, g, br.AT_LAM_MINUS,
-                          tuple(p.get("t_range", (-100.0, 100.0))),
-                          p.get("n_samples", 21), h_fun=h_fun,
-                          lam_offset=p.get("lam_offset", 0.1))
+    fam, h_fun = _resonance_minus_family(g)
+    cfg = br.BranchConfig(fam, g, br.AT_LAM_MINUS, (-100.0, 100.0), 21, h_fun=h_fun,
+                          lam_offset=0.1)
     branch = br.sweep_negative_regime(cfg)
     d = branch.diagnostics
     interior = d["interior_max"]
@@ -247,14 +215,8 @@ def _run_t15(spec: CheckSpec) -> CheckResult:
 
 def _run_t16(spec: CheckSpec) -> CheckResult:
     g = _grid(spec)
-    if spec.family is not None:
-        fam = spec.family
-        d0 = spec.params.get("d0")
-    else:
-        fam, d0 = br.make_teo6_family(g)
-    rep = br.uniqueness_probe_teo6(fam, g, n_starts=spec.params.get("n_starts", 8),
-                                   n_rhs=spec.params.get("n_rhs", 10),
-                                   seed=spec.params.get("seed", 0), d0=d0)
+    fam, d0 = br.make_teo6_family(g)
+    rep = br.uniqueness_probe_teo6(fam, g, n_starts=8, n_rhs=10, seed=spec.seed, d0=d0)
     worst = max(c["n_solutions"] for c in rep["cases"])
     return CheckResult(
         "T1.6", "Pass" if rep["all_unique"] else "Fail",
@@ -267,9 +229,8 @@ def _run_t16(spec: CheckSpec) -> CheckResult:
 
 def _run_t21(spec: CheckSpec) -> CheckResult:
     g = _grid(spec)
-    fam = spec.family or ControlFamily.fucik(5.0, dim=g.dim)
-    probe = simplicity_probe(fam, g, n_starts=spec.params.get("n_starts", 5),
-                             seed=spec.params.get("seed", 0))
+    fam = ControlFamily.fucik(5.0, dim=g.dim)
+    probe = simplicity_probe(fam, g, n_starts=5, seed=spec.seed)
     # isolation evidence: no nontrivial kernel just above the negative eigenvalue
     em = principal_eigen(fam, g, "-")
     nontrivial = 0
@@ -298,12 +259,11 @@ def _run_t23(spec: CheckSpec) -> CheckResult:
     u_plus1, _ = solve(op, g.ones())
     abp = check_abp(op, u_plus1, g.ones(), "-")
     # seeded comparison battery on an asymmetric family
-    fam = spec.family or ControlFamily.fucik(5.0, dim=g.dim)
-    opf = DiscreteOperator(fam, g, 0.0)
-    rng = np.random.default_rng(spec.params.get("seed", 0))
+    opf = DiscreteOperator(ControlFamily.fucik(5.0, dim=g.dim), g, 0.0)
+    rng = np.random.default_rng(spec.seed)
     worst_violation = 0.0
     worst_ratio = abp.ratio
-    for _ in range(spec.params.get("trials", 20)):
+    for _ in range(20):
         base = rng.standard_normal(g.num_nodes)
         gap = np.abs(rng.standard_normal(g.num_nodes))
         f2 = GridFunction(g, base, check_finite=False)
@@ -331,7 +291,7 @@ def _run_t23(spec: CheckSpec) -> CheckResult:
 
 def _run_t24(spec: CheckSpec) -> CheckResult:
     g = _grid(spec)
-    fam = spec.family or ControlFamily.fucik(5.0, dim=g.dim)
+    fam = ControlFamily.fucik(5.0, dim=g.dim)
     ep = principal_eigen(fam, g, "+")
     em = principal_eigen(fam, g, "-")
     hopf = _hopf_boundary_ratio(ep.phi)
@@ -363,10 +323,8 @@ def _hopf_boundary_ratio(phi: GridFunction) -> float:
 
 def _run_l28(spec: CheckSpec) -> CheckResult:
     g = _grid(spec)
-    fam = spec.family or ControlFamily.fucik(5.0, dim=g.dim)
-    p = spec.params
-    t0, t1, k = p.get("t0", 0.0), p.get("t1", 2.0), p.get("k", 0.5)
-    cfg = br.BranchConfig(fam, g, p.get("lam", 0.0), (min(t0, t1), max(t0, t1) + 1.0))
+    t0, t1, k = 0.0, 2.0, 0.5
+    cfg = br.BranchConfig(ControlFamily.fucik(5.0, dim=g.dim), g, 0.0, (t0, t1 + 1.0))
     ctx = br.prepare(cfg)
     op = ctx.operator()
     u0, r0 = solve(op, ctx.rhs(t0))
@@ -385,14 +343,14 @@ def _run_l28(spec: CheckSpec) -> CheckResult:
 
 def _run_p44(spec: CheckSpec) -> CheckResult:
     g = _grid(spec)
-    fam = spec.family or ControlFamily.fucik(3.0, dim=g.dim)
+    fam = ControlFamily.fucik(3.0, dim=g.dim)
     em = principal_eigen(fam, g, "-")
     ep = principal_eigen(fam, g, "+")
-    lam = em.lam + spec.params.get("lam_offset", 0.1)
+    lam = em.lam + 0.1
     op = DiscreteOperator(fam, g, lam)
     worst = -np.inf
     converged = True
-    for k in spec.params.get("ks", (0.5, 1.0, 2.0)):
+    for k in (0.5, 1.0, 2.0):
         f = ep.phi * (-k)
         u, rep, _ = solve_with_starts(op, f, [
             g.zeros(), ep.phi * (-k / 0.1), ep.phi * (-1.0)])
@@ -410,9 +368,7 @@ def _run_p44(spec: CheckSpec) -> CheckResult:
 
 def _run_p61(spec: CheckSpec) -> CheckResult:
     g = _grid(spec)
-    fam = spec.family or ControlFamily.laplacian(g.dim)
-    mask = half_domain_mask(g)
-    lam_full, lam_sub = subdomain_gap(fam, g, mask)
+    lam_full, lam_sub = subdomain_gap(ControlFamily.laplacian(g.dim), g, half_domain_mask(g))
     ratio = lam_sub / lam_full if lam_full != 0 else float("inf")
     ok = lam_sub > lam_full
     return CheckResult(
@@ -433,18 +389,17 @@ _RUNNERS = {
 def default_suite(grid: Grid | None = None, seed: int = 0) -> list[CheckSpec]:
     """One spec per check id on the standard interval grid."""
     g = grid or build_grid(1, (0.0, 1.0), 199)
-    return [CheckSpec(tid, grid=g, params={"seed": seed}) for tid in THEOREM_IDS]
+    return [CheckSpec(tid, grid=g, seed=seed) for tid in THEOREM_IDS]
 
 
-def run_suite(specs: list[CheckSpec], jobs: int = 1) -> list[CheckResult]:
-    """Execute every spec; deterministic result order by theorem id.
+def run_suite(specs: list[CheckSpec]) -> list[CheckResult]:
+    """Run the specs in order; results are sorted by theorem id.
 
-    Assert-severity failures (or runner errors) produce Fail results;
-    Evidence-severity specs always come back as Evidence with attached
-    metrics.
+    A failed invariant, or a runner aborted by a solver error, gives a
+    Fail result; a spec/regime mismatch raises ``ConfigurationError``.
     """
-
-    def run_one(spec: CheckSpec) -> CheckResult:
+    results = []
+    for spec in specs:
         try:
             result = _RUNNERS[spec.theorem_id](spec)
         except ConfigurationError:
@@ -452,15 +407,7 @@ def run_suite(specs: list[CheckSpec], jobs: int = 1) -> list[CheckResult]:
         except HJBError as exc:
             result = CheckResult(spec.theorem_id, "Fail",
                                  "runner aborted", {}, [], str(exc))
-        if spec.severity == EVIDENCE:
-            result.status = "Evidence"
-        return result
-
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, specs))
-    else:
-        results = [run_one(s) for s in specs]
+        results.append(result)
     return sorted(results, key=lambda r: (r.theorem_id, r.status))
 
 

@@ -32,7 +32,7 @@ from .artifacts import (
     write_jsonl,
 )
 from .checks import default_suite, emit_traceability, run_suite
-from .eigen import principal_eigen
+from .eigen import principal_eigen, proper_shift
 from .errors import (
     AdmissibilityError,
     ConfigurationError,
@@ -298,7 +298,15 @@ def validate_scenario(raw: dict) -> dict:
     scenario = Scenario(out)
     grid = scenario.grid()
     scenario.h_fun(grid)
-    DiscreteOperator(family, grid, 0.0)  # raises AdmissibilityError on CFL failure
+    # the operators that eigen builds: CFL failure raises AdmissibilityError,
+    # a coefficient that overflows the stencil a ConfigurationError
+    for shift in (0.0, -proper_shift(family)):
+        try:
+            DiscreteOperator(family, grid, shift)
+        except AdmissibilityError:
+            raise
+        except ConfigurationError as exc:
+            raise _err("family", str(exc)) from exc
     return out
 
 
@@ -321,7 +329,7 @@ def emit_scenario(scenario: Scenario) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_eigen(sc: Scenario, out: Path, jobs: int) -> int:
+def _cmd_eigen(sc: Scenario, out: Path) -> int:
     grid = sc.grid()
     fam = sc.family()
     plus = principal_eigen(fam, grid, "+")
@@ -345,7 +353,7 @@ def _cmd_eigen(sc: Scenario, out: Path, jobs: int) -> int:
     return EXIT_OK
 
 
-def _cmd_solve(sc: Scenario, out: Path, jobs: int) -> int:
+def _cmd_solve(sc: Scenario, out: Path) -> int:
     cfg = sc.branch_config()
     ctx = br.prepare(cfg)
     op = ctx.operator()
@@ -381,7 +389,7 @@ def _regime(ctx: br.BranchContext) -> str:
     return "negative"
 
 
-def _cmd_branch(sc: Scenario, out: Path, jobs: int) -> int:
+def _cmd_branch(sc: Scenario, out: Path) -> int:
     cfg = sc.branch_config()
     ctx = br.prepare(cfg)
     regime = _regime(ctx)
@@ -441,7 +449,7 @@ def _critical_payload(crit: br.CriticalReport) -> dict:
             "diagnostics": crit.diagnostics}
 
 
-def _cmd_tstar(sc: Scenario, out: Path, jobs: int) -> int:
+def _cmd_tstar(sc: Scenario, out: Path) -> int:
     cfg = sc.branch_config()
     ctx = br.prepare(cfg)
     lam_mode = sc.data["lam"]
@@ -456,9 +464,9 @@ def _cmd_tstar(sc: Scenario, out: Path, jobs: int) -> int:
     return EXIT_OK
 
 
-def _cmd_suite(sc: Scenario, out: Path, jobs: int) -> int:
+def _cmd_suite(sc: Scenario, out: Path) -> int:
     specs = default_suite(sc.grid(), seed=sc.data["seeds"][0])
-    results = run_suite(specs, jobs=jobs)
+    results = run_suite(specs)
     write_json(out / "results.json", {"results": [r.as_dict() for r in results]})
     (out / "report.md").write_text(emit_traceability(results), encoding="utf-8")
     if any(r.status == "Fail" for r in results):
@@ -473,7 +481,7 @@ def _read_branch_csv(path: Path) -> list[tuple[float, float]]:
     return [(float(r.split(",")[it]), float(r.split(",")[id_])) for r in rows[1:]]
 
 
-def _cmd_diagram(sc: Scenario, out: Path, jobs: int) -> int:
+def _cmd_diagram(sc: Scenario, out: Path) -> int:
     curves = []
     for name, label in (("branch.csv", "branch"),
                         ("branch_minimal.csv", "minimal"),
@@ -504,15 +512,14 @@ _COMMANDS = {
 }
 
 
-def run_command(cmd: str, scenario: Scenario, out_dir, jobs: int = 1,
-                seed: int | None = None) -> int:
+def run_command(cmd: str, scenario: Scenario, out_dir, seed: int | None = None) -> int:
     """Dispatch a subcommand and write run.json; returns the exit code."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if seed is not None:
         scenario.data["seeds"] = [seed] + scenario.data["seeds"][1:]
     started = time.time()
-    code = _COMMANDS[cmd](scenario, out, jobs)
+    code = _COMMANDS[cmd](scenario, out)
     write_json(out / "run.json", {
         "command": cmd,
         "scenario": scenario.data,
@@ -534,13 +541,13 @@ def main(argv=None) -> int:
     parser.add_argument("scenario", help="path to a scenario JSON file")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker count for independent checks (default 1)")
+                        help="accepted for compatibility; the checks run sequentially")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the scenario's first seed")
     args = parser.parse_args(argv)
     try:
         scenario = parse_scenario(args.scenario)
-        return run_command(args.command, scenario, args.out, args.jobs, args.seed)
+        return run_command(args.command, scenario, args.out, args.seed)
     except AdmissibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ADMISSIBILITY

@@ -225,50 +225,12 @@ class SubdomainMask:
         return bool(self.included.all())
 
 
-def restrict_to_mask(u: GridFunction, m: SubdomainMask) -> GridFunction:
-    """Zero out values at excluded nodes."""
-    if u.grid != m.grid:
-        raise UsageError("mask and function live on different grids")
-    return GridFunction(u.grid, np.where(m.included, u.values, 0.0), check_finite=False)
-
-
 def half_domain_mask(grid: Grid, axis: int = 0) -> SubdomainMask:
     """Mask keeping the lower half of the domain along one axis (x < midpoint)."""
     a, b = grid.extents[axis]
     mid = 0.5 * (a + b)
     keep = grid.coords()[:, axis] < mid
     return SubdomainMask(grid, keep)
-
-
-def interpolate_to(u: GridFunction, target: Grid) -> GridFunction:
-    """Linear interpolation onto another grid over the same extents.
-
-    The implicit zero boundary participates as interpolation data, so
-    refinement studies can compare functions across resolutions.
-    """
-    src = u.grid
-    if src.dim != target.dim or src.extents != target.extents:
-        raise UsageError("interpolation requires matching domains")
-
-    def axis_interp(vals_2d, axis):
-        a, b = src.extents[axis]
-        xs = np.concatenate([[a], src.axis_coords(axis), [b]])
-        xt = target.axis_coords(axis)
-        padded = np.concatenate([
-            np.zeros((1, vals_2d.shape[1])), vals_2d,
-            np.zeros((1, vals_2d.shape[1]))], axis=0)
-        out = np.empty((xt.size, vals_2d.shape[1]))
-        for j in range(vals_2d.shape[1]):
-            out[:, j] = np.interp(xt, xs, padded[:, j])
-        return out
-
-    if src.dim == 1:
-        vals = axis_interp(u.values[:, None], 0)[:, 0]
-        return GridFunction(target, vals, check_finite=False)
-    U = u.reshaped()
-    U = axis_interp(U, 0)
-    U = axis_interp(U.T, 1).T
-    return GridFunction(target, U.reshape(-1), check_finite=False)
 
 
 def eigen_bump(grid: Grid) -> GridFunction:

@@ -348,12 +348,22 @@ class DiscreteOperator:
             raise ConfigurationError("family and grid dimension mismatch")
         env = self.family.envelope
         h = np.array(self.grid.h)
-        # CFL-type admissibility: diffusion must dominate the drift at this h.
-        if min(env.lam_ell / h**2) < env.gamma / (2.0 * h.min()) - 1e-15:
-            raise AdmissibilityError(
-                f"stencil not monotone: min(lam/h^2)={min(env.lam_ell / h**2):.3g} "
-                f"< gamma/(2 min h)={env.gamma / (2 * h.min()):.3g}"
-            )
+        # huge but finite coefficients can overflow at this h; the scale
+        # check below reports that, so the overflow itself stays silent
+        with np.errstate(over="ignore"):
+            # CFL-type admissibility: diffusion must dominate the drift at this h.
+            if min(env.lam_ell / h**2) < env.gamma / (2.0 * h.min()) - 1e-15:
+                raise AdmissibilityError(
+                    f"stencil not monotone: min(lam/h^2)={min(env.lam_ell / h**2):.3g} "
+                    f"< gamma/(2 min h)={env.gamma / (2 * h.min()):.3g}"
+                )
+            scale = self.matrix_scale()
+        # every stencil weight and diagonal entry is at most the matrix scale
+        # in size, so a finite scale keeps them all finite
+        if not np.isfinite(scale):
+            raise ConfigurationError(
+                "coefficients too large for this grid: the stencil weights, diagonal "
+                "or matrix scale overflow")
         if self.mask is not None and self.mask.grid != self.grid:
             raise ConfigurationError("mask grid mismatch")
         incl = None if self.mask is None else self.mask.included

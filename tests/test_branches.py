@@ -172,8 +172,7 @@ def test_sweep_negative_regime(grid199, lam_h199):
 def test_sweep_negative_regime_homogeneous_through_zero(grid199, lam_h199):
     # with h = 0 the sweep passes through the trivial solution at t = 0
     fam = ControlFamily.fucik(lam_h199 + 4.0)
-    cfg = BranchConfig(fam, grid199, AT_LAM_MINUS, (-2.0, 2.0), 5,
-                       lam_offset=0.1, strict=False)
+    cfg = BranchConfig(fam, grid199, AT_LAM_MINUS, (-2.0, 2.0), 5, lam_offset=0.1)
     branch = sweep_negative_regime(cfg)
     mid = min(branch.points, key=lambda p: abs(p.t))
     assert mid.t == 0.0

@@ -37,36 +37,16 @@ def test_run_suite_fast_subset(small_grid):
 
 
 def test_run_suite_deterministic(small_grid):
-    specs = [CheckSpec(tid, grid=small_grid, params={"seed": 9})
+    specs = [CheckSpec(tid, grid=small_grid, seed=9)
              for tid in ("T1.1", "T2.3")]
     a = run_suite(specs)
     b = run_suite(specs)
     assert [r.metrics for r in a] == [r.metrics for r in b]
 
 
-def test_run_suite_parallel_matches_serial(small_grid):
-    specs = [CheckSpec(tid, grid=small_grid)
-             for tid in ("T1.1", "L2.8", "P6.1")]
-    serial = run_suite(specs, jobs=1)
-    parallel = run_suite(specs, jobs=3)
-    assert [(r.theorem_id, r.status) for r in serial] == \
-        [(r.theorem_id, r.status) for r in parallel]
-
-
-def test_evidence_severity_never_fails(small_grid):
-    from hjbranch.operators import ControlFamily
-    # a family in the wrong regime: the assert content cannot hold, but an
-    # Evidence spec still reports Evidence rather than Fail
-    spec = CheckSpec("T1.1", family=ControlFamily.fucik(15.0), grid=small_grid,
-                     severity="Evidence")
-    results = run_suite([spec])
-    assert results[0].status == "Evidence"
-
-
-def test_misconfigured_spec_raises(small_grid):
-    from hjbranch.operators import ControlFamily
-    # T1.3 needs the eigenvalues to straddle the spectral parameter
-    spec = CheckSpec("T1.3", family=ControlFamily.fucik(5.0), grid=small_grid)
+def test_misconfigured_spec_raises():
+    # T1.3 needs lam_1^+ < 0 < lam_1^-; on [0, 0.5] lam_1^+ is about 24.5
+    spec = CheckSpec("T1.3", grid=build_grid(1, (0.0, 0.5), 49))
     with pytest.raises(ConfigurationError):
         run_suite([spec])
 

@@ -128,7 +128,7 @@ def test_reproducible_branch_csv(tmp_path):
 def test_suite_exit_code_on_fail(tmp_path, monkeypatch):
     from hjbranch.checks import CheckResult
 
-    def fake_run_suite(specs, jobs=1):
+    def fake_run_suite(specs):
         return [CheckResult("T1.1", "Fail", "inv", {}, [], "boom")]
 
     monkeypatch.setattr(cli, "run_suite", fake_run_suite)
@@ -137,6 +137,15 @@ def test_suite_exit_code_on_fail(tmp_path, monkeypatch):
                      "--out", str(out)])
     assert code == cli.EXIT_ASSERT
     assert (out / "report.md").exists()
+
+
+def test_suite_jobs_flag_leaves_payloads_unchanged(tmp_path):
+    outs = [tmp_path / f"jobs{jobs}" for jobs in (1, 2)]
+    for jobs, out in zip((1, 2), outs):
+        assert cli.main(["suite", str(SCENARIOS / "laplacian_eigen.json"), "--out", str(out),
+                         "--jobs", str(jobs)]) == 0
+    for name in ("results.json", "report.md"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_nested_unknown_key_path(tmp_path):
@@ -203,6 +212,10 @@ MALFORMED = [
     ("grid.extents[0]", ("grid", "extents"), [[-1e308, 1.0]]),
     ("grid.extents[0]", ("grid", "extents"), [[-1e308, 1e308]]),
     ("grid.extents[0]", ("grid", "extents"), [[0.0, 1e-160]]),
+    # finite coefficients whose stencil weight (1e306/h^2) or proper-shifted
+    # matrix scale (b_plus + shift) overflows
+    ("family", ("family",), {"kind": "linear", "diffusion": 1e306}),
+    ("family", ("family", "b_plus"), 1e308),
 ]
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import discrete_lam1
+from conftest import discrete_lam1, small_problems
 from hjbranch.errors import BracketError, EigenIterationError
 import hjbranch.eigen
 from hjbranch.eigen import (
@@ -158,3 +159,10 @@ def test_proper_shift_is_proper(grid199):
     fam = ControlFamily.fucik(15.0)
     sigma = proper_shift(fam)
     assert sigma >= fam.max_zeroth + 1.0
+
+
+@settings(max_examples=15, deadline=None)
+@given(small_problems())
+def test_mirror_identity_on_random_problems(problem):
+    family, grid = problem
+    assert mirrored_plus_eigen(family, grid).lam == principal_eigen(family, grid, "-").lam

@@ -8,7 +8,6 @@ from hjbranch.grids import (
     build_grid,
     eigen_bump,
     half_domain_mask,
-    restrict_to_mask,
     signed_distance,
     sup_norm,
 )
@@ -91,27 +90,10 @@ def test_signed_distance_mixed_sign_rejected(grid199):
         signed_distance(GridFunction(grid199, vals), grid199.zeros())
 
 
-def test_restrict_full_mask_is_identity(grid199, sine):
-    full = SubdomainMask(grid199, np.ones(grid199.num_nodes, dtype=bool))
-    assert np.array_equal(restrict_to_mask(sine, full).values, sine.values)
-
-
-def test_restrict_half_mask(grid199, sine):
+def test_half_domain_mask(grid199):
     m = half_domain_mask(grid199)
-    out = restrict_to_mask(sine, m)
     x = grid199.coords()[:, 0]
-    assert np.all(out.values[x >= 0.5] == 0.0)
-    assert np.array_equal(out.values[x < 0.5], sine.values[x < 0.5])
-
-
-def test_restrict_single_node_mask(grid199):
-    inc = np.zeros(grid199.num_nodes, dtype=bool)
-    inc[11] = True
-    m = SubdomainMask(grid199, inc)
-    out = restrict_to_mask(grid199.ones(), m)
-    expected = np.zeros(grid199.num_nodes)
-    expected[11] = 1.0
-    assert np.array_equal(out.values, expected)
+    assert np.array_equal(m.included, x < 0.5)
 
 
 def test_empty_mask_rejected(grid199):
@@ -130,29 +112,3 @@ def test_grid_function_grid_mismatch(grid199):
     other = build_grid(1, (0.0, 1.0), 99)
     with pytest.raises(UsageError):
         GridFunction(grid199, np.zeros(grid199.num_nodes)).same_grid(other.zeros())
-
-
-def test_interpolate_between_resolutions(grid199):
-    from hjbranch.grids import interpolate_to
-    coarse = build_grid(1, (0.0, 1.0), 99)
-    xc = coarse.coords()[:, 0]
-    u = GridFunction(coarse, np.sin(np.pi * xc))
-    fine = interpolate_to(u, grid199)
-    xf = grid199.coords()[:, 0]
-    assert np.abs(fine.values - np.sin(np.pi * xf)).max() <= coarse.h[0] ** 2 * 2
-    same = interpolate_to(u, coarse)
-    assert np.abs(same.values - u.values).max() <= 1e-14
-    with pytest.raises(UsageError):
-        interpolate_to(u, build_grid(1, (0.0, 2.0), 99))
-
-
-def test_interpolate_2d():
-    from hjbranch.grids import interpolate_to
-    coarse = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (15, 15))
-    fine = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (31, 31))
-    c = coarse.coords()
-    u = GridFunction(coarse, np.sin(np.pi * c[:, 0]) * np.sin(np.pi * c[:, 1]))
-    v = interpolate_to(u, fine)
-    f = fine.coords()
-    exact = np.sin(np.pi * f[:, 0]) * np.sin(np.pi * f[:, 1])
-    assert np.abs(v.values - exact).max() <= 4 * coarse.h[0] ** 2

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import small_problems
+from hjbranch.eigen import principal_eigen
 from hjbranch.errors import UsageError
 from hjbranch.grids import GridFunction, build_grid, sup_norm
 from hjbranch.howard import (
@@ -169,3 +173,19 @@ def test_basin_census_finds_both_fucik_solutions(grid199, sine, lam_h199):
     starts = [grid199.zeros(), sine * 2.0, sine * (-2.0), sine * 20.0, sine * (-20.0)]
     census = basin_census(op, sine, starts, distinct_gap=1e-4)
     assert len(census) == 2
+
+
+@settings(max_examples=15, deadline=None)
+@given(small_problems(), st.floats(0.5, 10.0), st.integers(0, 2**32 - 1))
+def test_comparison_on_random_problems(problem, margin, seed):
+    family, grid = problem
+    # the shift lam_1^+ - margin moves the positive eigenvalue to margin > 0
+    op = DiscreteOperator(family, grid, principal_eigen(family, grid, "+").lam - margin)
+    rng = np.random.default_rng(seed)
+    f2 = rng.standard_normal(grid.num_nodes)
+    f1 = f2 - np.abs(rng.standard_normal(grid.num_nodes))
+    u1, r1 = solve(op, GridFunction(grid, f1))
+    u2, r2 = solve(op, GridFunction(grid, f2))
+    assert r1.converged and r2.converged
+    rep = check_comparison(op, u1, u2)
+    assert rep.premise_holds and rep.holds
