@@ -81,14 +81,13 @@ def write_grid_function(path, u: GridFunction) -> None:
     write_csv(path, header, grid_function_rows(u))
 
 
-def branch_rows(branch, phi=None):
+def branch_rows(branch, phi):
     for p in branch.points:
-        cos = 0.0 if phi is None else direction_cosine(p.u, phi)
         yield (p.t, p.d, float(np.abs(p.u.values).max()), p.u.min(), p.u.max(),
-               "|".join(sorted(p.regime_tags)), cos)
+               "|".join(sorted(p.regime_tags)), direction_cosine(p.u, phi))
 
 
-def write_branch(path, branch, phi=None) -> None:
+def write_branch(path, branch, phi) -> None:
     header = ["t", "d", "sup_norm", "min_u", "max_u", "regime_tags", "eigdir_cosine"]
     write_csv(path, header, branch_rows(branch, phi))
 
@@ -100,11 +99,12 @@ def write_branch(path, branch, phi=None) -> None:
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
+    """About five round tick values covering [lo, hi]."""
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    raw = span / max(n - 1, 1)
+    raw = span / 4
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s for s in (mag, 2 * mag, 5 * mag, 10 * mag) if s >= raw)
     start = math.ceil(lo / step) * step

@@ -503,8 +503,8 @@ def uniqueness_probe_at(cfg: BranchConfig, t: float, ctx: BranchContext | None =
 
 
 def trace_resonant_branch(cfg: BranchConfig, sign: str, t_star: float,
-                          ctx: BranchContext | None = None,
-                          bracket_halfwidth: float = 1e-4) -> Branch:
+                          ctx: BranchContext | None = None, *,
+                          bracket_halfwidth: float) -> Branch:
     """Sample the solution curve at exact resonance above t*.
 
     sign '+': warm sweep down to t* with uniqueness probes, then the
@@ -1059,33 +1059,36 @@ def sweep_negative_regime(cfg: BranchConfig, ctx: BranchContext | None = None) -
 # ---------------------------------------------------------------------------
 
 
-def make_teo6_family(grid: Grid, base: ControlFamily | None = None
-                     ) -> tuple[ControlFamily, float]:
+def make_teo6_family(grid: Grid) -> tuple[ControlFamily, float]:
     """Tune an asymmetric family so both principal eigenvalues fall in
     (-d0, 0), with d0 half the half-domain eigenvalue gap.
 
     For zeroth-order shifts the subdomain gap does not depend on the
-    shift itself, so the gap is computed once from the base family.
+    shift itself, so the gap is computed once from the Laplacian.
     """
     from .eigen import subdomain_gap
     from .grids import half_domain_mask
 
-    base = base or ControlFamily.laplacian(dim=grid.dim)
-    lam_full, lam_sub = subdomain_gap(base, grid, half_domain_mask(grid))
+    laplacian = ControlFamily.laplacian(dim=grid.dim)
+    lam_full, lam_sub = subdomain_gap(laplacian, grid, half_domain_mask(grid))
     alpha = lam_sub - lam_full
     d0 = alpha / 2.0
     fam = ControlFamily.fucik(lam_full + d0 / 2.0, lam_full + d0 / 4.0, dim=grid.dim)
     return fam, d0
 
 
-def uniqueness_probe_teo6(family: ControlFamily, grid: Grid, n_starts: int = 8,
-                          n_rhs: int = 10, seed: int = 0, d0: float | None = None) -> dict:
+def uniqueness_probe_teo6(family: ControlFamily, grid: Grid, d0: float, n_starts: int = 8,
+                          n_rhs: int = 10, seed: int = 0) -> dict:
     """Battery of right-hand sides x start basins; every converged basin per
-    f must agree when both eigenvalues sit in (-d0, 0)."""
+    f must agree when both eigenvalues sit in (-d0, 0).
+
+    Two converged iterates count as distinct solutions only when they
+    differ by more than ten times the residual target ``solve`` certifies
+    for that f, including its conditioning guard; a tighter gap would count
+    the rounding spread of one solution as a second solution.
+    """
     ep = principal_eigen(family, grid, "+")
     em = principal_eigen(family, grid, "-")
-    if d0 is None:
-        _, d0 = make_teo6_family(grid)
     if not (-d0 <= ep.lam <= em.lam < 0):
         raise RegimeError(
             f"probe needs -d0 <= lam_1^+ <= lam_1^- < 0; got ({ep.lam}, {em.lam}), d0={d0}")
@@ -1121,7 +1124,7 @@ def uniqueness_probe_teo6(family: ControlFamily, grid: Grid, n_starts: int = 8,
     all_unique = True
     for label, f in cases:
         scale = 1.0 + sup_norm(f) / max(abs(ep.lam), 1.0)
-        tol_gap = 10.0 * resolve_tol(sup_norm(f))
+        tol_gap = 10.0 * guard_tol(resolve_tol(sup_norm(f)), op.matrix_scale(), scale)
         census = basin_census(op, f, starts(scale), distinct_gap=tol_gap)
         entry = {
             "label": label,

@@ -57,35 +57,29 @@ def _sign_ok(flat: np.ndarray, incl: np.ndarray | None, sign: str) -> bool:
 
 
 def principal_eigen(family: ControlFamily, grid: Grid, sign: str,
-                    mask: SubdomainMask | None = None,
-                    operator_factory=None) -> EigenPair:
-    """Compute (lam_1^+, phi_1^+) or (lam_1^-, phi_1^-) of the family on the grid.
-
-    ``operator_factory(shift)`` may be supplied to iterate on a wrapped
-    operator (used by the mirrored-operator oracle); it defaults to the
-    plain discretization of the family.
-    """
+                    mask: SubdomainMask | None = None) -> EigenPair:
+    """Compute (lam_1^+, phi_1^+) or (lam_1^-, phi_1^-) of the family on the grid."""
     if sign not in ("+", "-"):
         raise UsageError("sign must be '+' or '-'")
     sigma = proper_shift(family)
-    if operator_factory is None:
-        def operator_factory(shift):
-            return DiscreteOperator(family, grid, shift, mask)
-    op_plain = operator_factory(0.0)
-    op_shifted = operator_factory(-sigma)
-    incl = getattr(op_plain, "_incl", None)
+    op_plain = DiscreteOperator(family, grid, 0.0, mask)
+    op_shifted = DiscreteOperator(family, grid, -sigma, mask)
+    return _inverse_iteration(op_plain, op_shifted, sigma, _start(grid, sign, mask), sign)
 
+
+def _start(grid: Grid, sign: str, mask: SubdomainMask | None) -> GridFunction:
+    """The constant start of the given sign, zero outside the mask."""
     start = np.ones(grid.num_nodes) if sign == "+" else -np.ones(grid.num_nodes)
-    if incl is not None:
-        start = np.where(incl, start, 0.0)
-    u = GridFunction(grid, start, check_finite=False)
-    return _inverse_iteration(op_plain, op_shifted, sigma, u, sign, incl)
+    if mask is not None:
+        start = np.where(mask.included, start, 0.0)
+    return GridFunction(grid, start, check_finite=False)
 
 
-def _inverse_iteration(op_plain, op_shifted, sigma: float, u: GridFunction, sign: str,
-                       incl: np.ndarray | None) -> EigenPair:
+def _inverse_iteration(op_plain, op_shifted, sigma: float, u: GridFunction,
+                       sign: str) -> EigenPair:
     """Shifted inverse power iteration from the start ``u`` until both the
     eigenvalue and the residual settle; every failure raises."""
+    incl = None if op_plain.mask is None else op_plain.mask.included
     lam = np.inf
     trace = []
     for it in range(1, _MAX_ITERS + 1):
@@ -116,10 +110,10 @@ def mirrored_plus_eigen(family: ControlFamily, grid: Grid,
     Characterizes the same value as the negative principal eigenvalue of
     F; kept as an independent oracle for the mirror identity.
     """
-    def factory(shift):
-        return MirroredOperator(DiscreteOperator(family, grid, shift, mask))
-    return principal_eigen(family, grid, "+", mask=mask,
-                           operator_factory=factory)
+    sigma = proper_shift(family)
+    op_plain = MirroredOperator(DiscreteOperator(family, grid, 0.0, mask))
+    op_shifted = MirroredOperator(DiscreteOperator(family, grid, -sigma, mask))
+    return _inverse_iteration(op_plain, op_shifted, sigma, _start(grid, "+", mask), "+")
 
 
 def eigen_bisect_crosscheck(family: ControlFamily, grid: Grid, sign: str,
@@ -197,7 +191,7 @@ def simplicity_probe(family: ControlFamily, grid: Grid, n_starts: int = 5,
     for _ in range(n_starts):
         vals = 0.1 + rng.random(grid.num_nodes)
         u = GridFunction(grid, vals / vals.max(), check_finite=False)
-        pair = _inverse_iteration(op_plain, op_shifted, sigma, u, "+", None)
+        pair = _inverse_iteration(op_plain, op_shifted, sigma, u, "+")
         limits.append(pair.phi)
         iters.append(pair.iters)
     spread = max(sup_norm(a - b) for a in limits for b in limits)

@@ -225,11 +225,11 @@ class SubdomainMask:
         return bool(self.included.all())
 
 
-def half_domain_mask(grid: Grid, axis: int = 0) -> SubdomainMask:
-    """Mask keeping the lower half of the domain along one axis (x < midpoint)."""
-    a, b = grid.extents[axis]
+def half_domain_mask(grid: Grid) -> SubdomainMask:
+    """Mask keeping the lower half of the domain along the first axis (x < midpoint)."""
+    a, b = grid.extents[0]
     mid = 0.5 * (a + b)
-    keep = grid.coords()[:, axis] < mid
+    keep = grid.coords()[:, 0] < mid
     return SubdomainMask(grid, keep)
 
 

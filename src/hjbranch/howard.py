@@ -96,7 +96,7 @@ def solve(op, f: GridFunction, u0: GridFunction | None = None,
     """
     if f.grid != op.grid:
         raise UsageError("right-hand side lives on a different grid")
-    incl = getattr(op, "_incl", None)
+    incl = None if op.mask is None else op.mask.included
     f_flat = f.values if incl is None else np.where(incl, f.values, 0.0)
     tol = resolve_tol(float(np.abs(f_flat).max()))
 

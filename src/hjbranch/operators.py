@@ -1,15 +1,17 @@
 """Monotone finite-difference discretization of sup-type elliptic operators.
 
 The operator family is F[u] = sup_a { tr(A_a D2u) + b_a . Du + c_a u }
-over a finite control list, together with three closed-form kinds:
+over a finite control list. Three kinds are built as such lists:
 
-* ``pucci_plus`` / ``pucci_minus``: axis-wise extremal operators
+* ``pucci_plus`` / ``pucci_minus``: the extremal operators over the
+  ellipticity class [lam, Lam], as the sup (resp. inf) over the 2^dim
+  diagonal controls with entries in {lam, Lam}; this is
   sum_i ( Lam (D2_ii u)^+ - lam (D2_ii u)^- ) and its mirror. In 1D this
   is exactly the extremal operator over [lam, Lam]; in 2D it is the
   axis-aligned restriction a five-point stencil can represent.
 * ``fucik``: Laplacian plus weights on the positive/negative parts,
-  represented internally as a two-control sup family with
-  c in {b_plus, b_minus}, which requires b_plus >= b_minus.
+  the two-control sup family with c in {b_plus, b_minus}, which
+  requires b_plus >= b_minus.
 
 Second derivatives use central differences, drift uses upwind
 differences, so every control's stencil has nonnegative off-diagonal
@@ -17,13 +19,14 @@ weights and the scheme is monotone. A CFL-type admissibility bound is
 still enforced at construction so that inadmissible configurations fail
 loudly instead of losing comparison.
 
-``pucci_minus`` is an inf-type (concave) operator; it is provided as
+``pucci_minus`` is the one inf-type (concave) kind; it is provided as
 the envelope/mirror tool. Algebraic checks run in the orientation that
 matches the kind (sub- vs super-additivity).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,55 +102,51 @@ class ControlCoeffs:
 
 @dataclass(frozen=True)
 class ControlFamily:
-    """A sup-type (or closed-form extremal) operator family."""
+    """A sup-type operator family over a finite control list; the
+    ``pucci_minus`` kind is the inf over its controls instead."""
 
     kind: str
     controls: tuple[ControlCoeffs, ...]
     envelope: Envelope
     dim: int
-    fucik_weights: tuple[float, float] | None = None
-    pucci_bounds: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise ConfigurationError(f"unknown family kind {self.kind!r}")
-        if self.kind in ("linear", "finite_sup", "fucik"):
-            if not self.controls:
-                raise ConfigurationError("control list must be nonempty")
-            for c in self.controls:
-                if c.dim != self.dim:
-                    raise ConfigurationError("control dimension mismatch")
-                diag = c.diag_diffusion()
-                if diag.min() < self.envelope.lam_ell - 1e-12 or diag.max() > self.envelope.Lam_ell + 1e-12:
-                    raise ConfigurationError("control diffusion escapes the envelope")
-                if np.linalg.norm(c.drift) > self.envelope.gamma + 1e-12:
-                    raise ConfigurationError("control drift escapes the envelope")
-                if abs(c.zeroth) > self.envelope.delta + 1e-12:
-                    raise ConfigurationError("control zeroth coefficient escapes the envelope")
+        if not self.controls:
+            raise ConfigurationError("control list must be nonempty")
+        for c in self.controls:
+            if c.dim != self.dim:
+                raise ConfigurationError("control dimension mismatch")
+            diag = c.diag_diffusion()
+            if diag.min() < self.envelope.lam_ell - 1e-12 or diag.max() > self.envelope.Lam_ell + 1e-12:
+                raise ConfigurationError("control diffusion escapes the envelope")
+            if np.linalg.norm(c.drift) > self.envelope.gamma + 1e-12:
+                raise ConfigurationError("control drift escapes the envelope")
+            if abs(c.zeroth) > self.envelope.delta + 1e-12:
+                raise ConfigurationError("control zeroth coefficient escapes the envelope")
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def linear(cls, diffusion=1.0, drift=None, zeroth=0.0, dim=1, envelope=None) -> "ControlFamily":
+    def linear(cls, diffusion=1.0, drift=None, zeroth=0.0, dim=1) -> "ControlFamily":
         if drift is None:
             drift = np.zeros(dim)
         if np.isscalar(diffusion):
             diffusion = np.eye(dim) * float(diffusion)
         ctrl = ControlCoeffs.make(diffusion, drift, zeroth)
-        env = envelope or cls._tight_envelope([ctrl])
-        return cls("linear", (ctrl,), env, ctrl.dim)
+        return cls("linear", (ctrl,), cls._tight_envelope([ctrl]), ctrl.dim)
 
     @classmethod
     def laplacian(cls, dim=1) -> "ControlFamily":
         return cls.linear(diffusion=1.0, dim=dim)
 
     @classmethod
-    def finite_sup(cls, controls, envelope=None) -> "ControlFamily":
+    def finite_sup(cls, controls) -> "ControlFamily":
         ctrls = tuple(
             c if isinstance(c, ControlCoeffs) else ControlCoeffs.make(*c) for c in controls
         )
-        env = envelope or cls._tight_envelope(ctrls)
-        return cls("finite_sup", ctrls, env, ctrls[0].dim)
+        return cls("finite_sup", ctrls, cls._tight_envelope(ctrls), ctrls[0].dim)
 
     @classmethod
     def fucik(cls, b_plus: float, b_minus: float = 0.0, dim: int = 1) -> "ControlFamily":
@@ -164,18 +163,30 @@ class ControlFamily:
             ControlCoeffs.make(eye, zero, float(b_plus)),
             ControlCoeffs.make(eye, zero, float(b_minus)),
         )
-        env = cls._tight_envelope(ctrls)
-        return cls("fucik", ctrls, env, dim, fucik_weights=(float(b_plus), float(b_minus)))
+        return cls("fucik", ctrls, cls._tight_envelope(ctrls), dim)
 
     @classmethod
     def pucci_plus(cls, lam_ell: float, Lam_ell: float, dim: int = 1) -> "ControlFamily":
+        """M+ over [lam_ell, Lam_ell]: the sup over the diagonal controls."""
         env = Envelope(float(lam_ell), float(Lam_ell), 0.0, 0.0)
-        return cls("pucci_plus", (), env, dim, pucci_bounds=(float(lam_ell), float(Lam_ell)))
+        return cls._diagonal("pucci_plus", env, (env.Lam_ell, env.lam_ell), dim)
 
     @classmethod
     def pucci_minus(cls, lam_ell: float, Lam_ell: float, dim: int = 1) -> "ControlFamily":
+        """M- over [lam_ell, Lam_ell]: the inf over the diagonal controls."""
         env = Envelope(float(lam_ell), float(Lam_ell), 0.0, 0.0)
-        return cls("pucci_minus", (), env, dim, pucci_bounds=(float(lam_ell), float(Lam_ell)))
+        return cls._diagonal("pucci_minus", env, (env.lam_ell, env.Lam_ell), dim)
+
+    @classmethod
+    def _diagonal(cls, kind: str, env: Envelope, weights: tuple[float, float],
+                  dim: int) -> "ControlFamily":
+        """The 2^dim diagonal controls with entries in ``weights``. The
+        first control wins a tie, so an axis whose second difference is
+        zero takes weights[0], the coefficient of (D2u)^+."""
+        zero = np.zeros(dim)
+        ctrls = tuple(ControlCoeffs.make(np.diag(w), zero, 0.0)
+                      for w in itertools.product(weights, repeat=dim))
+        return cls(kind, ctrls, env, dim)
 
     @staticmethod
     def _tight_envelope(ctrls) -> Envelope:
@@ -192,8 +203,6 @@ class ControlFamily:
 
     @property
     def max_zeroth(self) -> float:
-        if self.kind in ("pucci_plus", "pucci_minus"):
-            return 0.0
         return max(c.zeroth for c in self.controls)
 
 
@@ -227,15 +236,14 @@ class _Stencil:
     links up (to k+s) and low (to k-s) and the diagonal including the
     shift. Per axis with stride s: the gate of length N - s marking the
     linked pairs (k, k+s), i.e. both nodes on one grid line and both
-    included. The extremal kinds have no controls; their weights depend
-    on the argument, and ``pucci`` holds the weights of the second
-    difference where it is >= 0 and where it is < 0 (None for the other
-    kinds).
+    included. ``convex`` is the orientation: the operator is the max over
+    the controls, or for an inf-type family the min.
     """
 
     def __init__(self, family: ControlFamily, grid: Grid, shift: float,
                  included: np.ndarray | None):
         m, dim = len(family.controls), grid.dim
+        self.convex = family.is_convex
         self.diffusion = np.array([c.diag_diffusion() for c in family.controls]).reshape(m, dim)
         drift = np.array([c.drift for c in family.controls]).reshape(m, dim)
         self.b_plus = np.maximum(drift, 0.0)
@@ -244,10 +252,6 @@ class _Stencil:
         # controls that upwind forward (b > 0) and backward (b < 0) per axis
         self.upwind = [(np.flatnonzero(self.b_plus[:, ax] > 0),
                         np.flatnonzero(self.b_minus[:, ax] < 0)) for ax in range(dim)]
-        self.pucci = None
-        if family.kind in ("pucci_plus", "pucci_minus"):
-            lam, Lam = family.pucci_bounds
-            self.pucci = (Lam, lam) if family.kind == "pucci_plus" else (lam, Lam)
         self.diag = shift + self.zeroth
         self.links = []
         for ax in range(dim):
@@ -377,19 +381,15 @@ class DiscreteOperator:
             return flat
         return np.where(self._incl, flat, 0.0)
 
-    def _differences(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per axis (plus, minus, plus - 2u + minus): the neighbour values
-        and the undivided second difference."""
-        return [(plus, minus, plus - 2.0 * flat + minus)
-                for plus, minus in _neighbor_views(self.grid, flat)]
-
     def _control_values(self, flat: np.ndarray) -> np.ndarray:
         """(n_controls, N) array of L_a u, vectorized over the control list."""
         st = self._stencil
         vals = st.zeroth[:, None] * flat
-        for ax, (plus, minus, second) in enumerate(self._differences(flat)):
+        for ax, (plus, minus) in enumerate(_neighbor_views(self.grid, flat)):
             h = self.grid.h[ax]
-            vals = vals + st.diffusion[:, ax, None] * second / h**2
+            # the undivided second difference, scaled once for every control
+            d2 = (plus - 2.0 * flat + minus) / h**2
+            vals = vals + st.diffusion[:, ax, None] * d2
             fwd, bwd = st.upwind[ax]
             if fwd.size:
                 vals[fwd] += st.b_plus[fwd, ax, None] * (plus - flat) / h
@@ -399,16 +399,9 @@ class DiscreteOperator:
 
     def apply_flat(self, flat: np.ndarray) -> np.ndarray:
         flat = self._masked(np.asarray(flat, dtype=float))
-        if self._stencil.pucci is None:
-            vals = self._control_values(flat)
-            out = vals.max(axis=0) + self.shift * flat
-        else:
-            w_pos, w_neg = self._stencil.pucci
-            acc = np.zeros_like(flat)
-            for ax, (_, _, second) in enumerate(self._differences(flat)):
-                d2 = second / self.grid.h[ax] ** 2
-                acc += w_pos * np.maximum(d2, 0.0) - w_neg * np.maximum(-d2, 0.0)
-            out = acc + self.shift * flat
+        vals = self._control_values(flat)
+        best = vals.max(axis=0) if self._stencil.convex else vals.min(axis=0)
+        out = best + self.shift * flat
         if self._incl is not None:
             out = np.where(self._incl, out, 0.0)
         return out
@@ -419,43 +412,27 @@ class DiscreteOperator:
         return GridFunction(self.grid, self.apply_flat(u.values), check_finite=False)
 
     def linearize(self, u: GridFunction | np.ndarray) -> Linearization:
-        """Linear stencil of the argmax control at each node.
+        """Linear stencil of the active control at each node: the argmax,
+        or the argmin for an inf-type family.
 
-        Ties select the lowest control index; the extremal kinds select
-        the upper-coefficient branch of (D2u)^+ when the second
-        difference is exactly zero.
+        Ties select the lowest control index; for the extremal kinds that
+        is the coefficient of (D2u)^+ on an axis whose second difference
+        is exactly zero.
 
-        The policy ``active`` determines the matrix (for the extremal
-        kinds it holds the per-axis branch bits), so an unchanged policy
-        returns the previous ``Linearization`` itself, with the
+        The policy ``active`` determines the matrix, so an unchanged
+        policy returns the previous ``Linearization`` itself, with the
         factorization it already holds.
         """
         flat = self._masked(u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float))
         st = self._stencil
-        if st.pucci is None:
-            active = np.argmax(self._control_values(flat), axis=0)
-        else:
-            uppers = [second / self.grid.h[ax] ** 2 >= 0.0
-                      for ax, (_, _, second) in enumerate(self._differences(flat))]
-            active = np.zeros(flat.size, dtype=int)
-            for ax, upper in enumerate(uppers):
-                active = active | (upper.astype(int) << ax)
+        vals = self._control_values(flat)
+        active = np.argmax(vals, axis=0) if st.convex else np.argmin(vals, axis=0)
         key = active.tobytes()
         last_key, lin = self._last
         if last_key == key:
             return lin
-        if st.pucci is None:
-            diag = st.diag[active]
-            links = [(up[active], low[active]) for up, low in st.links]
-        else:
-            w_pos, w_neg = st.pucci
-            diag = np.full(flat.size, self.shift)
-            links = []
-            for ax, upper in enumerate(uppers):
-                h2 = self.grid.h[ax] ** 2
-                w = np.where(upper, w_pos, w_neg)
-                links.append((w / h2, w / h2))
-                diag += -2.0 * w / h2
+        diag = st.diag[active]
+        links = [(up[active], low[active]) for up, low in st.links]
         if self._incl is not None:
             diag = np.where(self._incl, diag, 1.0)
         lin = Linearization(self.grid, self._incl, diag, st.bands(links), active)
@@ -483,7 +460,6 @@ class MirroredOperator:
         self.grid = inner.grid
         self.mask = inner.mask
         self.shift = inner.shift
-        self._incl = inner._incl
 
     def apply_flat(self, flat: np.ndarray) -> np.ndarray:
         # -(F + s)(-u) = -F(-u) + s*u: the shift mirrors onto itself.
@@ -508,9 +484,8 @@ class MirroredOperator:
 def pucci_envelope_flat(op: DiscreteOperator, flat: np.ndarray, side: str) -> np.ndarray:
     """Extremal envelope M+/- of the family's (lam, Lam) bounds, same stencil."""
     env = op.family.envelope
-    kind = "pucci_plus" if side == "+" else "pucci_minus"
-    fam = ControlFamily(kind, (), Envelope(env.lam_ell, env.Lam_ell, 0.0, 0.0),
-                        op.grid.dim, pucci_bounds=(env.lam_ell, env.Lam_ell))
+    make = ControlFamily.pucci_plus if side == "+" else ControlFamily.pucci_minus
+    fam = make(env.lam_ell, env.Lam_ell, op.grid.dim)
     return DiscreteOperator(fam, op.grid, 0.0, op.mask).apply_flat(flat)
 
 

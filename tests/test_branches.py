@@ -189,7 +189,8 @@ def test_sweep_negative_regime_wrong_lambda(grid199, lam_h199):
 def test_make_teo6_family(grid199, lam_h199):
     fam, d0 = make_teo6_family(grid199)
     assert d0 == pytest.approx((discrete_lam1(99, 0.5) - lam_h199) / 2, rel=1e-6)
-    bp, bm = fam.fucik_weights
+    # the two controls carry b_plus and b_minus as their zeroth-order terms
+    bp, bm = (c.zeroth for c in fam.controls)
     assert bp == pytest.approx(lam_h199 + d0 / 2, rel=1e-9)
     assert bm == pytest.approx(lam_h199 + d0 / 4, rel=1e-9)
 
@@ -205,6 +206,19 @@ def test_uniqueness_probe_teo6(grid199):
     assert pos["min"] > 0  # large positive forcing produces the positive solution
     neg = [c for c in rep["cases"] if c["label"] == "large_negative_const"][0]
     assert neg["max"] < 0
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("n", [99, 399])
+def test_uniqueness_probe_teo6_counts_zero_once_on_any_grid(n, seed):
+    # solve certifies the zero forcing only up to its conditioning guard,
+    # which at these n exceeds the bare residual target; iterates of u = 0
+    # within that guard are one solution, not several
+    g = build_grid(1, (0.0, 1.0), n)
+    fam, d0 = make_teo6_family(g)
+    rep = uniqueness_probe_teo6(fam, g, d0, n_starts=8, n_rhs=10, seed=seed)
+    assert [c["n_solutions"] for c in rep["cases"]] == [1] * len(rep["cases"])
+    assert rep["all_unique"]
 
 
 def test_uniqueness_probe_teo6_regime_guard(grid199):
@@ -321,10 +335,14 @@ def test_sweep_driver_drops_unsolved_parameter_at_resonance_minus(monkeypatch):
     ctx = prepare(cfg)
     phi = np.sin(np.pi * x)
     t_star = -float(np.dot(x * (1 - x), phi) / np.dot(phi, phi))
-    full = [p.t for p in trace_resonant_branch(cfg, "-", t_star, ctx).points]
+    def traced_ts():
+        branch = trace_resonant_branch(cfg, "-", t_star, ctx, bracket_halfwidth=1e-4)
+        return [p.t for p in branch.points]
+
+    full = traced_ts()
     bad_t = full[len(full) // 2]
     _never_converges_at(monkeypatch, ctx.rhs(bad_t))
-    dropped = [p.t for p in trace_resonant_branch(cfg, "-", t_star, ctx).points]
+    dropped = traced_ts()
     assert dropped == [t for t in full if t != bad_t]
 
 

@@ -50,3 +50,21 @@ def unused_parameters(source: str) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     assert unused_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def private_lookups_by_name(source: str) -> list[str]:
+    """``line: getattr(name)`` for every ``getattr``/``hasattr`` whose
+    attribute is a ``_``-prefixed string literal: a private attribute read
+    by name, which hides the dependency from readers and from the types."""
+    tree = ast.parse(source)
+    return [f"{node.lineno}: {node.func.id}({node.args[1].value})"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("getattr", "hasattr") and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str) and node.args[1].value.startswith("_")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_attribute_lookup_by_name(path):
+    assert private_lookups_by_name(path.read_text(encoding="utf-8")) == []

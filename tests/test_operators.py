@@ -116,7 +116,52 @@ def test_linearize_pucci_sign_split(grid199):
     lin = op.linearize(u)
     padded = np.concatenate(([0.0], u.values, [0.0]))
     d2 = padded[2:] - 2.0 * padded[1:-1] + padded[:-2]
-    assert np.array_equal(lin.active == 1, d2 >= 0)
+    # Lam = 2 where the second difference is >= 0, lam = 1 where it is < 0
+    weight = np.where(d2 >= 0, 2.0, 1.0)
+    h2 = grid199.h[0] ** 2
+    assert (d2 >= 0).any() and (d2 < 0).any()
+    assert np.array_equal(lin.diag, -2.0 * weight / h2)
+    upper, lower = lin.bands[0]
+    assert np.array_equal(upper, weight[:-1] / h2)
+    assert np.array_equal(lower, weight[1:] / h2)
+
+
+def pucci_reference(grid, lam_ell, Lam_ell, kind, shift, u):
+    """Closed forms of M+/- + shift: per axis w+ (D2u)^+ - w- (D2u)^-, with
+    (w+, w-) = (Lam, lam) for M+ and (lam, Lam) for M-, plus shift*u; and
+    the diagonal of its linearization, whose weight on an axis is w+
+    where the second difference is >= 0 (so a zero takes w+) and w- where
+    it is < 0."""
+    w_pos, w_neg = (Lam_ell, lam_ell) if kind == "pucci_plus" else (lam_ell, Lam_ell)
+    U = u.reshape(grid.shape)
+    acc = np.zeros_like(u)
+    diag = np.full(u.size, shift)
+    for ax in range(grid.dim):
+        lead = (slice(None),) * ax
+        padded = np.pad(U, [(1, 1) if a == ax else (0, 0) for a in range(grid.dim)])
+        second = padded[lead + (slice(2, None),)] - 2.0 * U + padded[lead + (slice(None, -2),)]
+        d2 = second.ravel() / grid.h[ax] ** 2
+        acc += w_pos * np.maximum(d2, 0.0) - w_neg * np.maximum(-d2, 0.0)
+        diag += -2.0 * np.where(d2 >= 0.0, w_pos, w_neg) / grid.h[ax] ** 2
+    return acc + shift * u, diag
+
+
+@pytest.mark.parametrize("kind", ["pucci_plus", "pucci_minus"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_pucci_families_match_closed_form(dim, kind):
+    grid = STENCILS[dim][0]
+    lam_ell, Lam_ell, shift = 0.7, 1.9, -0.3
+    fam = getattr(ControlFamily, kind)(lam_ell, Lam_ell, dim=dim)
+    assert len(fam.controls) == 2**dim
+    rng = np.random.default_rng(17)
+    N = grid.num_nodes
+    # zero-heavy: integer values, mostly 0, so many second differences are exactly 0
+    zero_heavy = rng.integers(-2, 3, N) * (rng.random(N) < 0.2)
+    for u in (rng.standard_normal(N), zero_heavy.astype(float), np.zeros(N)):
+        op = DiscreteOperator(fam, grid, shift)
+        ref_apply, ref_diag = pucci_reference(grid, lam_ell, Lam_ell, kind, shift, u)
+        assert np.array_equal(op.apply_flat(u), ref_apply)
+        assert np.array_equal(op.linearize(u).diag, ref_diag)
 
 
 @pytest.mark.parametrize("masked", [False, True], ids=["full", "half"])
