@@ -38,10 +38,9 @@ from .eigen import (
 from .grids import (
     Grid,
     GridFunction,
-    SubdomainMask,
     build_grid,
     eigen_bump,
-    half_domain_mask,
+    half_domain_grid,
     signed_distance,
     sup_norm,
 )
@@ -68,10 +67,10 @@ __all__ = [
     "CheckResult", "CheckSpec", "ControlCoeffs", "ControlFamily",
     "CriticalReport", "DiscreteOperator", "EigenPair",
     "Envelope", "Grid", "GridFunction", "MirroredOperator",
-    "SolveReport", "SubdomainMask", "basin_census", "build_grid",
+    "SolveReport", "basin_census", "build_grid",
     "check_abp", "check_comparison", "check_h0_h3", "default_suite",
     "eigen_bisect_crosscheck", "eigen_bump", "emit_traceability",
-    "half_domain_mask", "locate_tstar_resonance", "make_teo6_family",
+    "half_domain_grid", "locate_tstar_resonance", "make_teo6_family",
     "mirrored_plus_eigen", "prepare", "principal_eigen", "run_suite",
     "signed_distance", "simplicity_probe", "solve",
     "solve_with_starts", "subdomain_gap", "sup_norm", "sweep_negative_regime",

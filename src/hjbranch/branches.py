@@ -39,7 +39,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .eigen import principal_eigen
+from .eigen import principal_eigen, subdomain_gap
 from .errors import (
     BracketError,
     ConfigurationError,
@@ -410,17 +410,18 @@ def locate_tstar_resonance(cfg: BranchConfig, sign: str,
                 blow = blow or cosine >= 0.99
             return blow, norm, cosine, diverged
 
-        lo, hi = t_lo0, t_hi0
+        # the bracket re-centred on the last boundaries first, then t_range;
+        # each endpoint is classified once
+        brackets = [(t_lo0, t_hi0)]
         if len(boundaries) >= 2:
             span = max(10.0 * abs(boundaries[-1] - boundaries[-2]), 1e-3)
-            lo_c = max(t_lo0, boundaries[-1] - span)
-            hi_c = min(t_hi0, boundaries[-1] + span)
-            blow_lo = classify(lo_c)[0]
-            blow_hi = classify(hi_c)[0]
+            brackets.insert(0, (max(t_lo0, boundaries[-1] - span),
+                                min(t_hi0, boundaries[-1] + span)))
+        for lo, hi in brackets:
+            blow_lo, norm_lo, cos_lo, _ = classify(lo)
+            blow_hi = classify(hi)[0]
             if blow_lo and not blow_hi:
-                lo, hi = lo_c, hi_c
-        blow_lo, norm_lo, cos_lo, _ = classify(lo)
-        blow_hi, norm_hi, cos_hi, _ = classify(hi)
+                break
         if not blow_lo or blow_hi:
             raise BracketError(
                 f"t_range does not straddle the critical value at eps={eps}: "
@@ -453,8 +454,7 @@ def locate_tstar_resonance(cfg: BranchConfig, sign: str,
         slack = widths[i] + widths[i + 1] + 1e-12
         if boundaries[i + 1] < boundaries[i] - slack:
             raise UnstableDetectionError(
-                "classification boundary non-monotone over the gap ladder",
-                evidence=level_tables)
+                "classification boundary non-monotone over the gap ladder")
 
     t_hat = _richardson(boundaries, widths[-1])
     halfw = max(3.0 * widths[-1], abs(t_hat - boundaries[-1]),
@@ -919,9 +919,7 @@ def _continue_in_d(ctx: BranchContext, op: DiscreteOperator, u_start: GridFuncti
                 break
             trial *= 0.5
         if not ok:
-            raise FoldTraceError(
-                "continuation step failed below minimal step size",
-                partial=out_points)
+            raise FoldTraceError("continuation step failed below minimal step size")
         u_prev, t_prev, d_prev = u, t, d_cur
         u, t, d_cur = u_new, t_new, d_target
         out_points.append(emit(u, t))
@@ -1066,11 +1064,7 @@ def make_teo6_family(grid: Grid) -> tuple[ControlFamily, float]:
     For zeroth-order shifts the subdomain gap does not depend on the
     shift itself, so the gap is computed once from the Laplacian.
     """
-    from .eigen import subdomain_gap
-    from .grids import half_domain_mask
-
-    laplacian = ControlFamily.laplacian(dim=grid.dim)
-    lam_full, lam_sub = subdomain_gap(laplacian, grid, half_domain_mask(grid))
+    lam_full, lam_sub = subdomain_gap(ControlFamily.laplacian(dim=grid.dim), grid)
     alpha = lam_sub - lam_full
     d0 = alpha / 2.0
     fam = ControlFamily.fucik(lam_full + d0 / 2.0, lam_full + d0 / 4.0, dim=grid.dim)

@@ -18,7 +18,7 @@ import numpy as np
 from . import branches as br
 from .eigen import principal_eigen, simplicity_probe, subdomain_gap
 from .errors import ConfigurationError, HJBError
-from .grids import Grid, GridFunction, build_grid, half_domain_mask, sup_norm
+from .grids import Grid, GridFunction, build_grid, sup_norm
 from .howard import (
     basin_census,
     check_abp,
@@ -368,7 +368,7 @@ def _run_p44(spec: CheckSpec) -> CheckResult:
 
 def _run_p61(spec: CheckSpec) -> CheckResult:
     g = _grid(spec)
-    lam_full, lam_sub = subdomain_gap(ControlFamily.laplacian(g.dim), g, half_domain_mask(g))
+    lam_full, lam_sub = subdomain_gap(ControlFamily.laplacian(g.dim), g)
     ratio = lam_sub / lam_full if lam_full != 0 else float("inf")
     ok = lam_sub > lam_full
     return CheckResult(

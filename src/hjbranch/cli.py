@@ -37,7 +37,6 @@ from .errors import (
     AdmissibilityError,
     ConfigurationError,
     HJBError,
-    PropertyFailureError,
 )
 from .grids import Grid, GridFunction, build_grid
 from .howard import solve, solve_with_starts
@@ -391,6 +390,9 @@ def _regime(ctx: br.BranchContext) -> str:
 
 def _cmd_branch(sc: Scenario, out: Path) -> int:
     cfg = sc.branch_config()
+    if not cfg.family.is_convex:
+        raise _err("family.kind", "branch needs a sup-type (convex) family, "
+                   f"got the inf-type {cfg.family.kind!r}")
     ctx = br.prepare(cfg)
     regime = _regime(ctx)
     summary: dict = {"regime": regime, "lam": ctx.lam,
@@ -451,6 +453,9 @@ def _critical_payload(crit: br.CriticalReport) -> dict:
 
 def _cmd_tstar(sc: Scenario, out: Path) -> int:
     cfg = sc.branch_config()
+    if not cfg.family.is_convex:
+        raise _err("family.kind", "tstar needs a sup-type (convex) family, "
+                   f"got the inf-type {cfg.family.kind!r}")
     ctx = br.prepare(cfg)
     lam_mode = sc.data["lam"]
     if isinstance(lam_mode, dict) and lam_mode["mode"] == br.AT_LAM_MINUS:
@@ -554,9 +559,6 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except PropertyFailureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ASSERT
     except HJBError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, EigenIterationError, UsageError
-from .grids import Grid, GridFunction, SubdomainMask, eigen_bump, sup_norm
+from .grids import Grid, GridFunction, eigen_bump, half_domain_grid, sup_norm
 from .howard import CONVERGED, solve
 from .operators import ControlFamily, DiscreteOperator, MirroredOperator
 
@@ -51,74 +51,59 @@ class EigenPair:
                 "iters": self.iters}
 
 
-def _sign_ok(flat: np.ndarray, incl: np.ndarray | None, sign: str) -> bool:
-    vals = flat if incl is None else flat[incl]
-    return bool((vals > 0).all()) if sign == "+" else bool((vals < 0).all())
+def _sign_ok(flat: np.ndarray, sign: str) -> bool:
+    return bool((flat > 0).all()) if sign == "+" else bool((flat < 0).all())
 
 
-def principal_eigen(family: ControlFamily, grid: Grid, sign: str,
-                    mask: SubdomainMask | None = None) -> EigenPair:
+def principal_eigen(family: ControlFamily, grid: Grid, sign: str) -> EigenPair:
     """Compute (lam_1^+, phi_1^+) or (lam_1^-, phi_1^-) of the family on the grid."""
     if sign not in ("+", "-"):
         raise UsageError("sign must be '+' or '-'")
     sigma = proper_shift(family)
-    op_plain = DiscreteOperator(family, grid, 0.0, mask)
-    op_shifted = DiscreteOperator(family, grid, -sigma, mask)
-    return _inverse_iteration(op_plain, op_shifted, sigma, _start(grid, sign, mask), sign)
-
-
-def _start(grid: Grid, sign: str, mask: SubdomainMask | None) -> GridFunction:
-    """The constant start of the given sign, zero outside the mask."""
-    start = np.ones(grid.num_nodes) if sign == "+" else -np.ones(grid.num_nodes)
-    if mask is not None:
-        start = np.where(mask.included, start, 0.0)
-    return GridFunction(grid, start, check_finite=False)
+    op_plain = DiscreteOperator(family, grid, 0.0)
+    op_shifted = DiscreteOperator(family, grid, -sigma)
+    start = grid.ones() if sign == "+" else -grid.ones()
+    return _inverse_iteration(op_plain, op_shifted, sigma, start, sign)
 
 
 def _inverse_iteration(op_plain, op_shifted, sigma: float, u: GridFunction,
                        sign: str) -> EigenPair:
     """Shifted inverse power iteration from the start ``u`` until both the
     eigenvalue and the residual settle; every failure raises."""
-    incl = None if op_plain.mask is None else op_plain.mask.included
     lam = np.inf
-    trace = []
     for it in range(1, _MAX_ITERS + 1):
         w, rep = solve(op_shifted, -u)
         if rep.status != CONVERGED:
             raise EigenIterationError(
-                f"inner proper solve failed with status {rep.status} at iteration {it}",
-                trace)
-        if not _sign_ok(w.values, incl, sign):
+                f"inner proper solve failed with status {rep.status} at iteration {it}")
+        if not _sign_ok(w.values, sign):
             raise EigenIterationError(
-                f"iterate lost its sign at iteration {it}; shift inadmissible", trace)
+                f"iterate lost its sign at iteration {it}; shift inadmissible")
         nrm = sup_norm(w)
         lam_new = 1.0 / nrm - sigma
         u = w * (1.0 / nrm)
         resid = float(np.abs(op_plain.apply_flat(u.values) + lam_new * u.values).max())
-        trace.append((lam_new, resid))
         if abs(lam_new - lam) <= _TOL and resid <= _RESIDUAL_TOL:
             return EigenPair(sign, lam_new, u, resid, it)
         lam = lam_new
     raise EigenIterationError(
-        f"inverse iteration did not converge in {_MAX_ITERS} iterations", trace)
+        f"inverse iteration did not converge in {_MAX_ITERS} iterations")
 
 
-def mirrored_plus_eigen(family: ControlFamily, grid: Grid,
-                        mask: SubdomainMask | None = None) -> EigenPair:
+def mirrored_plus_eigen(family: ControlFamily, grid: Grid) -> EigenPair:
     """Positive-start iteration on the mirrored operator G[u] = -F[-u].
 
     Characterizes the same value as the negative principal eigenvalue of
     F; kept as an independent oracle for the mirror identity.
     """
     sigma = proper_shift(family)
-    op_plain = MirroredOperator(DiscreteOperator(family, grid, 0.0, mask))
-    op_shifted = MirroredOperator(DiscreteOperator(family, grid, -sigma, mask))
-    return _inverse_iteration(op_plain, op_shifted, sigma, _start(grid, "+", mask), "+")
+    op_plain = MirroredOperator(DiscreteOperator(family, grid, 0.0))
+    op_shifted = MirroredOperator(DiscreteOperator(family, grid, -sigma))
+    return _inverse_iteration(op_plain, op_shifted, sigma, grid.ones(), "+")
 
 
 def eigen_bisect_crosscheck(family: ControlFamily, grid: Grid, sign: str,
-                            bracket: tuple[float, float], n_steps: int = 40,
-                            mask: SubdomainMask | None = None) -> float:
+                            bracket: tuple[float, float], n_steps: int = 40) -> float:
     """Locate the principal eigenvalue by bisection on a sign classification.
 
     For sign '+': solve (F + lam)[u] = -phi_probe with a positive probe;
@@ -134,19 +119,15 @@ def eigen_bisect_crosscheck(family: ControlFamily, grid: Grid, sign: str,
     if not lo < hi:
         raise BracketError(f"empty bracket ({lo}, {hi})")
     probe = eigen_bump(grid)
-    if mask is not None:
-        probe = GridFunction(grid, np.where(mask.included, probe.values, 0.0),
-                             check_finite=False)
-    incl = None if mask is None else mask.included
 
     def below(lam: float) -> bool:
-        op = DiscreteOperator(family, grid, lam, mask)
+        op = DiscreteOperator(family, grid, lam)
         if sign == "+":
             u, rep = solve(op, -probe, blowup_norm=1e10)
-            return rep.converged and _sign_ok(u.values, incl, "+")
+            return rep.converged and _sign_ok(u.values, "+")
         for s in (1.0, 10.0, 100.0):
             u, rep = solve(op, probe, u0=probe * (-s), blowup_norm=1e10)
-            if rep.converged and _sign_ok(u.values, incl, "-"):
+            if rep.converged and _sign_ok(u.values, "-"):
                 return True
         return False
 
@@ -163,13 +144,13 @@ def eigen_bisect_crosscheck(family: ControlFamily, grid: Grid, sign: str,
     return 0.5 * (lo + hi)
 
 
-def subdomain_gap(family: ControlFamily, grid: Grid, mask: SubdomainMask
-                  ) -> tuple[float, float]:
-    """Principal positive eigenvalue on the full domain and on the masked
-    subdomain; the gap must be strictly positive for a proper mask."""
+def subdomain_gap(family: ControlFamily, grid: Grid) -> tuple[float, float]:
+    """Principal positive eigenvalue on the grid and on its half-domain grid
+    (``grids.half_domain_grid``); shrinking the domain must raise it by a
+    strictly positive gap."""
     full = principal_eigen(family, grid, "+")
-    sub = principal_eigen(family, grid, "+", mask=mask)
-    if not mask.is_full and not sub.lam > full.lam:
+    sub = principal_eigen(family, half_domain_grid(grid), "+")
+    if not sub.lam > full.lam:
         raise EigenIterationError(
             f"expected strict subdomain gap, got {sub.lam} <= {full.lam}")
     return full.lam, sub.lam

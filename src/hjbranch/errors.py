@@ -29,17 +29,9 @@ class OrderingViolationError(HJBError):
 class PropertyFailureError(HJBError):
     """An exact algebraic property of the stencil failed beyond tolerance."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 class EigenIterationError(HJBError):
     """Inverse power iteration lost its sign cone or failed to converge."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
 
 
 class BracketError(HJBError):
@@ -54,14 +46,6 @@ class RegimeError(HJBError):
 class FoldTraceError(HJBError):
     """Pseudo-arclength continuation failed below the minimal step size."""
 
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
 
 class UnstableDetectionError(HJBError):
     """Critical-value detection produced non-monotone evidence."""
-
-    def __init__(self, message, evidence=None):
-        super().__init__(message)
-        self.evidence = evidence

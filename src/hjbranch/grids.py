@@ -200,37 +200,24 @@ def signed_distance(u: GridFunction, u_ref: GridFunction) -> float:
     return norm if has_pos else -norm
 
 
-@dataclass(frozen=True, eq=False)
-class SubdomainMask:
-    """Boolean inclusion mask over interior nodes.
+def half_domain_grid(grid: Grid) -> Grid:
+    """The nodes with x below the first-axis midpoint, as a grid of their own.
 
-    Excluded nodes act as additional Dirichlet-zero boundary in restricted
-    solves and eigenvalue computations.
+    Its right end is the first excluded node, so the spacing is the
+    parent's and the excluded nodes become its zero Dirichlet boundary.
     """
-
-    grid: Grid
-    included: np.ndarray
-
-    def __post_init__(self):
-        inc = np.asarray(self.included, dtype=bool).reshape(-1)
-        if inc.size != self.grid.num_nodes:
-            raise ConfigurationError("mask size does not match grid")
-        if not inc.any():
-            raise ConfigurationError("mask must include at least one node")
-        inc.setflags(write=False)
-        object.__setattr__(self, "included", inc)
-
-    @property
-    def is_full(self) -> bool:
-        return bool(self.included.all())
-
-
-def half_domain_mask(grid: Grid) -> SubdomainMask:
-    """Mask keeping the lower half of the domain along the first axis (x < midpoint)."""
     a, b = grid.extents[0]
-    mid = 0.5 * (a + b)
-    keep = grid.coords()[:, 0] < mid
-    return SubdomainMask(grid, keep)
+    x = grid.axis_coords(0)
+    k = int(np.count_nonzero(x < 0.5 * (a + b)))
+    if k < 3:
+        raise ConfigurationError(
+            f"grid.n: the half domain needs 3 nodes, so the first axis needs "
+            f"at least 6 nodes, got n={grid.n[0]}")
+    sub = Grid(grid.dim, ((a, float(x[k])),) + grid.extents[1:], (k,) + grid.n[1:])
+    # (x[k] - a) / (k + 1) can round one ulp away from the parent's spacing;
+    # the nodes are the parent's, so the spacing is too
+    object.__setattr__(sub, "h", grid.h)
+    return sub
 
 
 def eigen_bump(grid: Grid) -> GridFunction:

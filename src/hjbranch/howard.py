@@ -96,8 +96,7 @@ def solve(op, f: GridFunction, u0: GridFunction | None = None,
     """
     if f.grid != op.grid:
         raise UsageError("right-hand side lives on a different grid")
-    incl = None if op.mask is None else op.mask.included
-    f_flat = f.values if incl is None else np.where(incl, f.values, 0.0)
+    f_flat = f.values
     tol = resolve_tol(float(np.abs(f_flat).max()))
 
     if u0 is None:
@@ -105,7 +104,7 @@ def solve(op, f: GridFunction, u0: GridFunction | None = None,
     else:
         if u0.grid != op.grid:
             raise UsageError("initial guess lives on a different grid")
-        u = u0.values.copy() if incl is None else np.where(incl, u0.values, 0.0)
+        u = u0.values.copy()
 
     history: list[float] = []
     active_changes: list[int] = []

@@ -40,7 +40,7 @@ from .errors import (
     PropertyFailureError,
     UsageError,
 )
-from .grids import Grid, GridFunction, SubdomainMask
+from .grids import Grid, GridFunction
 
 CONVEX_KINDS = ("linear", "finite_sup", "fucik", "pucci_plus")
 ALL_KINDS = CONVEX_KINDS + ("pucci_minus",)
@@ -227,21 +227,20 @@ def _neighbor_views(grid: Grid, flat: np.ndarray):
 
 class _Stencil:
     """The monotone stencil of one operator, built once from the family,
-    the grid, the shift and the mask; apply, linearize and both matrix
-    forms all read it.
+    the grid and the shift; apply, linearize and both matrix forms all
+    read it.
 
     Per control (m of them): diagonal diffusion and split drift
     b+ = max(b, 0), b- = min(b, 0), each (m, dim), and the zeroth-order
     coefficient (m,); from those the frozen-control weights, per axis the
     links up (to k+s) and low (to k-s) and the diagonal including the
     shift. Per axis with stride s: the gate of length N - s marking the
-    linked pairs (k, k+s), i.e. both nodes on one grid line and both
-    included. ``convex`` is the orientation: the operator is the max over
-    the controls, or for an inf-type family the min.
+    linked pairs (k, k+s), i.e. both nodes on one grid line. ``convex``
+    is the orientation: the operator is the max over the controls, or for
+    an inf-type family the min.
     """
 
-    def __init__(self, family: ControlFamily, grid: Grid, shift: float,
-                 included: np.ndarray | None):
+    def __init__(self, family: ControlFamily, grid: Grid, shift: float):
         m, dim = len(family.controls), grid.dim
         self.convex = family.is_convex
         self.diffusion = np.array([c.diag_diffusion() for c in family.controls]).reshape(m, dim)
@@ -266,10 +265,7 @@ class _Stencil:
             # the last node of each grid line along ax has no + neighbour
             gate = np.ones(grid.shape, dtype=bool)
             gate[(slice(None),) * ax + (-1,)] = False
-            gate = gate.ravel()[:-s]
-            if included is not None:
-                gate &= included[:-s] & included[s:]
-            self.gates.append(gate)
+            self.gates.append(gate.ravel()[:-s])
 
     def bands(self, links: list[tuple[np.ndarray, np.ndarray]]) -> list:
         """Gate per-node (up, low) link weights into per-axis (upper, lower)
@@ -284,14 +280,12 @@ class Linearization:
 
     Held as the diagonal plus one gated (upper, lower) band pair per axis
     (see ``_Stencil.bands``); the banded solve (1D) and the sparse matrix
-    (2D) are both built from these bands. Excluded (masked) nodes carry
-    identity rows.
+    (2D) are both built from these bands.
     """
 
-    def __init__(self, grid: Grid, included: np.ndarray | None, diag: np.ndarray,
+    def __init__(self, grid: Grid, diag: np.ndarray,
                  bands: list[tuple[np.ndarray, np.ndarray]], active: np.ndarray):
         self.grid = grid
-        self.included = included
         self.active = active
         self.diag = diag
         self.bands = bands
@@ -314,8 +308,6 @@ class Linearization:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
-        if self.included is not None:
-            rhs = np.where(self.included, rhs, 0.0)
         if self.grid.dim == 1:
             if self._banded is None:
                 upper, lower = self.bands[0]
@@ -341,8 +333,6 @@ class DiscreteOperator:
     family: ControlFamily
     grid: Grid
     shift: float = 0.0
-    mask: SubdomainMask | None = None
-    _incl: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
     _stencil: _Stencil = field(init=False, default=None, repr=False, compare=False)
     # (active.tobytes(), Linearization) of the last linearize call
     _last: tuple = field(init=False, default=(None, None), repr=False, compare=False)
@@ -368,18 +358,9 @@ class DiscreteOperator:
             raise ConfigurationError(
                 "coefficients too large for this grid: the stencil weights, diagonal "
                 "or matrix scale overflow")
-        if self.mask is not None and self.mask.grid != self.grid:
-            raise ConfigurationError("mask grid mismatch")
-        incl = None if self.mask is None else self.mask.included
-        object.__setattr__(self, "_incl", incl)
-        object.__setattr__(self, "_stencil", _Stencil(self.family, self.grid, self.shift, incl))
+        object.__setattr__(self, "_stencil", _Stencil(self.family, self.grid, self.shift))
 
     # -- evaluation ----------------------------------------------------
-
-    def _masked(self, flat: np.ndarray) -> np.ndarray:
-        if self._incl is None:
-            return flat
-        return np.where(self._incl, flat, 0.0)
 
     def _control_values(self, flat: np.ndarray) -> np.ndarray:
         """(n_controls, N) array of L_a u, vectorized over the control list."""
@@ -398,13 +379,10 @@ class DiscreteOperator:
         return vals
 
     def apply_flat(self, flat: np.ndarray) -> np.ndarray:
-        flat = self._masked(np.asarray(flat, dtype=float))
+        flat = np.asarray(flat, dtype=float)
         vals = self._control_values(flat)
         best = vals.max(axis=0) if self._stencil.convex else vals.min(axis=0)
-        out = best + self.shift * flat
-        if self._incl is not None:
-            out = np.where(self._incl, out, 0.0)
-        return out
+        return best + self.shift * flat
 
     def apply(self, u: GridFunction) -> GridFunction:
         if u.grid != self.grid:
@@ -423,7 +401,7 @@ class DiscreteOperator:
         policy returns the previous ``Linearization`` itself, with the
         factorization it already holds.
         """
-        flat = self._masked(u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float))
+        flat = u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float)
         st = self._stencil
         vals = self._control_values(flat)
         active = np.argmax(vals, axis=0) if st.convex else np.argmin(vals, axis=0)
@@ -433,9 +411,7 @@ class DiscreteOperator:
             return lin
         diag = st.diag[active]
         links = [(up[active], low[active]) for up, low in st.links]
-        if self._incl is not None:
-            diag = np.where(self._incl, diag, 1.0)
-        lin = Linearization(self.grid, self._incl, diag, st.bands(links), active)
+        lin = Linearization(self.grid, diag, st.bands(links), active)
         object.__setattr__(self, "_last", (key, lin))
         return lin
 
@@ -447,7 +423,7 @@ class DiscreteOperator:
 
 
 class MirroredOperator:
-    """G + shift with G[u] = -F[-u]; shares grid, mask and solve machinery.
+    """G + shift with G[u] = -F[-u]; shares grid and solve machinery.
 
     The mirrored operator of a sup family is the corresponding inf
     family; its positive principal eigenpair coincides with the negative
@@ -458,7 +434,6 @@ class MirroredOperator:
         self.inner = inner
         self.family = inner.family
         self.grid = inner.grid
-        self.mask = inner.mask
         self.shift = inner.shift
 
     def apply_flat(self, flat: np.ndarray) -> np.ndarray:
@@ -486,7 +461,7 @@ def pucci_envelope_flat(op: DiscreteOperator, flat: np.ndarray, side: str) -> np
     env = op.family.envelope
     make = ControlFamily.pucci_plus if side == "+" else ControlFamily.pucci_minus
     fam = make(env.lam_ell, env.Lam_ell, op.grid.dim)
-    return DiscreteOperator(fam, op.grid, 0.0, op.mask).apply_flat(flat)
+    return DiscreteOperator(fam, op.grid, 0.0).apply_flat(flat)
 
 
 def gradient_magnitude_flat(grid: Grid, flat: np.ndarray) -> np.ndarray:
@@ -537,8 +512,7 @@ def check_h0_h3(op: DiscreteOperator, trials: int = 100, seed: int = 0,
     inequality and the extremal-envelope sandwich on seeded random pairs.
 
     Convex kinds are checked as sup-forms; the inf-type ``pucci_minus``
-    is checked with the mirrored (super-additive) orientation. The random
-    pairs vanish at masked-out nodes, where the operator reads zero.
+    is checked with the mirrored (super-additive) orientation.
     """
     if trials < 1:
         raise UsageError("trials must be >= 1")
@@ -548,8 +522,8 @@ def check_h0_h3(op: DiscreteOperator, trials: int = 100, seed: int = 0,
     convex = op.family.is_convex
     worst = dict(h=0.0, a=0.0, m=0.0, s=0.0)
     for _ in range(trials):
-        u = op._masked(rng.standard_normal(N))
-        v = op._masked(rng.standard_normal(N))
+        u = rng.standard_normal(N)
+        v = rng.standard_normal(N)
         t = abs(rng.standard_normal()) + 0.1
         k = rng.uniform(0.0, 1.0)
         Fu = op.apply_flat(u)
@@ -580,6 +554,5 @@ def check_h0_h3(op: DiscreteOperator, trials: int = 100, seed: int = 0,
                             worst["m"], worst["s"], tolerance)
     if not report.passed:
         raise PropertyFailureError(
-            f"stencil algebra violated beyond {tolerance:g}: {report.as_dict()}", report
-        )
+            f"stencil algebra violated beyond {tolerance:g}: {report.as_dict()}")
     return report

@@ -27,7 +27,7 @@ from hjbranch.branches import (
     uniqueness_probe_teo6,
 )
 from hjbranch.eigen import eigen_bisect_crosscheck, mirrored_plus_eigen, principal_eigen
-from hjbranch.grids import GridFunction, build_grid, half_domain_mask, sup_norm
+from hjbranch.grids import GridFunction, build_grid, sup_norm
 from hjbranch.howard import basin_census, solve_with_starts
 from hjbranch.operators import ControlFamily, DiscreteOperator, check_h0_h3
 
@@ -253,7 +253,7 @@ def test_criterion_11_operator_algebra(grid199):
 def test_criterion_12_subdomain_gap_oracle(grid199, laplacian):
     started = time.time()
     from hjbranch.eigen import subdomain_gap
-    lam_full, lam_sub = subdomain_gap(laplacian, grid199, half_domain_mask(grid199))
+    lam_full, lam_sub = subdomain_gap(laplacian, grid199)
     ratio = lam_sub / lam_full
     assert abs(ratio - 4.0) / 4.0 <= 0.005
     _report(12, f"half-domain eigenvalue ratio {ratio:.6f}", started, 2.0)

@@ -156,6 +156,26 @@ def test_locate_tstar_minus(grid199, lam_h199):
     assert crit.bracket[0] < t0 < crit.bracket[1]
 
 
+def test_locate_tstar_classifies_each_t_once_per_level():
+    grid = build_grid(1, (0.0, 1.0), 49)
+    fam = ControlFamily.fucik(discrete_lam1(49) + 4.0)
+    x = grid.coords()[:, 0]
+    cfg = BranchConfig(fam, grid, AT_LAM_MINUS, (-3.0, 3.0), 5,
+                       h_fun=GridFunction(grid, x * (1 - x)),
+                       resonance_seq=tuple(2.0 ** (-k) for k in range(1, 7)))
+    ctx = prepare(cfg)
+    # every classify starts with ctx.rhs(t); each level builds one operator
+    levels, calls = [], []
+    operator, rhs = ctx.operator, ctx.rhs
+    ctx.operator = lambda lam=None: levels.append(lam) or operator(lam)
+    ctx.rhs = lambda t: calls.append((len(levels), t)) or rhs(t)
+    locate_tstar_resonance(cfg, "-", ctx)
+    assert len(levels) == 6
+    assert len(calls) == len(set(calls))
+    # the re-centred bracket was accepted: a level that never classified t_range
+    assert any((k, -3.0) not in calls for k in range(3, 7))
+
+
 def test_sweep_negative_regime(grid199, lam_h199):
     fam = ControlFamily.fucik(lam_h199 + 4.0)
     x = grid199.coords()[:, 0]

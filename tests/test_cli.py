@@ -148,6 +148,40 @@ def test_suite_jobs_flag_leaves_payloads_unchanged(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_suite_needs_six_nodes_on_first_axis(tmp_path, capsys):
+    """The half-domain grid of P6.1 and T1.6 needs 3 nodes, so n >= 6."""
+    data = minimal_scenario()
+    data["grid"]["n"] = [5]
+    code = cli.main(["suite", write_scenario(tmp_path, data), "--out", str(tmp_path / "n5")])
+    assert code == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid.n: ") and "at least 6 nodes" in err
+    data["grid"]["n"] = [6]
+    out = tmp_path / "n6"
+    cli.main(["suite", write_scenario(tmp_path, data), "--out", str(out)])
+    results = json.loads((out / "results.json").read_text())["results"]
+    status = {r["theorem_id"]: r["status"] for r in results}
+    assert status["P6.1"] == status["T1.6"] == "Pass"
+
+
+def test_inf_type_family_refused_by_branch_and_tstar(tmp_path, capsys):
+    """branch and tstar need a sup-type family; eigen and solve accept
+    pucci_minus."""
+    data = resonance_scenario()
+    data["family"] = {"kind": "pucci_minus", "lam_ell": 1.0, "Lam_ell": 2.0}
+    for cmd, lam in (("branch", 0.0), ("tstar", {"mode": "at_lam_plus", "offset": 0.0}),
+                     ("eigen", 0.0), ("solve", 0.0)):
+        data["lam"] = lam
+        code = cli.main([cmd, write_scenario(tmp_path, data), "--out", str(tmp_path / cmd)])
+        err = capsys.readouterr().err
+        if cmd in ("branch", "tstar"):
+            assert code == cli.EXIT_SCHEMA
+            assert err.startswith("error: family.kind: ")
+            assert not (tmp_path / cmd / "summary.json").exists()
+        else:
+            assert code == cli.EXIT_OK
+
+
 def test_nested_unknown_key_path(tmp_path):
     data = minimal_scenario()
     data["branch"] = {"t_range": [-1.0, 1.0], "step_typo": 5}

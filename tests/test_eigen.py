@@ -13,7 +13,7 @@ from hjbranch.eigen import (
     simplicity_probe,
     subdomain_gap,
 )
-from hjbranch.grids import SubdomainMask, build_grid, half_domain_mask, sup_norm
+from hjbranch.grids import build_grid, sup_norm
 from hjbranch.operators import ControlFamily
 
 
@@ -100,23 +100,17 @@ def test_mirror_identity(grid199):
 
 
 def test_subdomain_gap_laplacian(grid199, laplacian, lam_h199):
-    lam_full, lam_sub = subdomain_gap(laplacian, grid199, half_domain_mask(grid199))
+    lam_full, lam_sub = subdomain_gap(laplacian, grid199)
     assert abs(lam_full - lam_h199) <= 1e-9
-    # left-half mask of (0,1) at this n is an exact (0, 1/2) grid
+    # the half-domain grid of (0,1) at this n is the (0, 1/2) grid with n=99
     assert abs(lam_sub - discrete_lam1(99, 0.5)) <= 1e-8
     assert abs(lam_sub / lam_full - 4.0) <= 0.02
 
 
 def test_subdomain_gap_pucci(grid199):
     pp = ControlFamily.pucci_plus(1.0, 2.0)
-    lam_full, lam_sub = subdomain_gap(pp, grid199, half_domain_mask(grid199))
+    lam_full, lam_sub = subdomain_gap(pp, grid199)
     assert abs(lam_sub / lam_full - 4.0) <= 0.02
-
-
-def test_subdomain_full_mask_no_gap(grid199, laplacian):
-    full = SubdomainMask(grid199, np.ones(grid199.num_nodes, dtype=bool))
-    lam_full, lam_sub = subdomain_gap(laplacian, grid199, full)
-    assert abs(lam_sub - lam_full) <= 1e-9
 
 
 def test_scaling_covariance():

@@ -4,10 +4,9 @@ import pytest
 from hjbranch.errors import ConfigurationError, OrderingViolationError, UsageError
 from hjbranch.grids import (
     GridFunction,
-    SubdomainMask,
     build_grid,
     eigen_bump,
-    half_domain_mask,
+    half_domain_grid,
     signed_distance,
     sup_norm,
 )
@@ -90,15 +89,26 @@ def test_signed_distance_mixed_sign_rejected(grid199):
         signed_distance(GridFunction(grid199, vals), grid199.zeros())
 
 
-def test_half_domain_mask(grid199):
-    m = half_domain_mask(grid199)
-    x = grid199.coords()[:, 0]
-    assert np.array_equal(m.included, x < 0.5)
+def test_half_domain_grid():
+    """The sub-grid holds exactly the nodes with x below the midpoint, in
+    the parent's order and with the parent's spacing, in 1D and 2D."""
+    for extent in ((0.0, 1.0), (-1.0, 2.0), (0.3, 1.7)):
+        # n = 8 and 97 on (0, 1): (x[k] - a) / (k + 1) rounds off the spacing
+        for n in (6, 8, 49, 50, 97, 99, 199, 399, 799):
+            for grid in (build_grid(1, extent, n), build_grid(2, (extent, (0.0, 2.0)), (n, 5))):
+                a, b = extent
+                keep = grid.coords()[:, 0] < 0.5 * (a + b)
+                sub = half_domain_grid(grid)
+                assert sub.h == grid.h
+                assert sub.n[1:] == grid.n[1:] and sub.extents[1:] == grid.extents[1:]
+                assert np.array_equal(sub.coords(), grid.coords()[keep])
 
 
-def test_empty_mask_rejected(grid199):
-    with pytest.raises(ConfigurationError):
-        SubdomainMask(grid199, np.zeros(grid199.num_nodes, dtype=bool))
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_half_domain_grid_needs_six_nodes(n):
+    for grid in (build_grid(1, (0.0, 1.0), n), build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (n, 9))):
+        with pytest.raises(ConfigurationError, match=r"grid\.n.*6"):
+            half_domain_grid(grid)
 
 
 def test_grid_function_rejects_nan(grid199):

@@ -68,3 +68,11 @@ def private_lookups_by_name(source: str) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_attribute_lookup_by_name(path):
     assert private_lookups_by_name(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_export_resolves():
+    """Each name in ``hjbranch.__all__`` is an attribute of the package, so
+    a removed name cannot linger in the export list."""
+    import hjbranch
+
+    assert [name for name in hjbranch.__all__ if not hasattr(hjbranch, name)] == []

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import discrete_lam1
 from hjbranch.errors import AdmissibilityError, ConfigurationError
-from hjbranch.grids import Grid, GridFunction, SubdomainMask, build_grid, half_domain_mask, sup_norm
+from hjbranch.grids import Grid, GridFunction, build_grid, half_domain_grid, sup_norm
 from hjbranch.operators import (
     ControlCoeffs,
     ControlFamily,
@@ -47,25 +47,24 @@ STENCILS = {
 }
 
 
-def stencil_cases(dim, masked, shift, seed):
-    """(operator, masked random argument) for every family of one dimension."""
+def stencil_grid(dim, half):
+    """The stencil grid of one dimension, or its half-domain grid."""
     grid, families = STENCILS[dim]
-    mask = half_domain_mask(grid) if masked else None
+    return (half_domain_grid(grid) if half else grid), families
+
+
+def stencil_cases(dim, half, shift, seed):
+    """(operator, random argument) for every family of one dimension."""
+    grid, families = stencil_grid(dim, half)
     rng = np.random.default_rng(seed)
     for fam in families.values():
-        u = rng.standard_normal(grid.num_nodes)
-        if mask is not None:
-            u = np.where(mask.included, u, 0.0)
-        yield DiscreteOperator(fam, grid, shift, mask), u
+        yield DiscreteOperator(fam, grid, shift), rng.standard_normal(grid.num_nodes)
 
 
 def assert_monotone_links(lin):
-    """Off-diagonal weights are nonnegative and no link touches an excluded node."""
+    """Off-diagonal weights are nonnegative."""
     M = lin.matrix.tocoo()
-    off = M.row != M.col
-    assert M.data[off].min(initial=0.0) >= 0.0
-    if lin.included is not None:
-        assert lin.included[M.row[off]].all() and lin.included[M.col[off]].all()
+    assert M.data[M.row != M.col].min(initial=0.0) >= 0.0
 
 
 def test_apply_laplacian_matches_discrete_eigenvalue(grid199, laplacian, sine, lam_h199):
@@ -164,29 +163,27 @@ def test_pucci_families_match_closed_form(dim, kind):
         assert np.array_equal(op.linearize(u).diag, ref_diag)
 
 
-@pytest.mark.parametrize("masked", [False, True], ids=["full", "half"])
+@pytest.mark.parametrize("half", [False, True], ids=["full", "half"])
 @pytest.mark.parametrize("dim", [1, 2])
-def test_linearize_matches_apply(dim, masked):
-    for op, u in stencil_cases(dim, masked, 0.35, 3):
+def test_linearize_matches_apply(dim, half):
+    for op, u in stencil_cases(dim, half, 0.35, 3):
         lin = op.linearize(u)
         assert np.abs(lin.matrix @ u - op.apply_flat(u)).max() <= 1e-9
 
 
-@pytest.mark.parametrize("masked", [False, True], ids=["full", "half"])
+@pytest.mark.parametrize("half", [False, True], ids=["full", "half"])
 @pytest.mark.parametrize("dim", [1, 2])
-def test_monotone_stencil_offdiagonals(dim, masked):
-    for op, u in stencil_cases(dim, masked, 0.0, 4):
+def test_monotone_stencil_offdiagonals(dim, half):
+    for op, u in stencil_cases(dim, half, 0.0, 4):
         assert_monotone_links(op.linearize(u))
 
 
-@pytest.mark.parametrize("masked", [False, True], ids=["full", "half"])
-def test_banded_solve_matches_sparse_matrix(masked):
+@pytest.mark.parametrize("half", [False, True], ids=["full", "half"])
+def test_banded_solve_matches_sparse_matrix(half):
     rng = np.random.default_rng(8)
-    for op, u in stencil_cases(1, masked, -3.0, 5):
+    for op, u in stencil_cases(1, half, -3.0, 5):
         lin = op.linearize(u)
         rhs = rng.standard_normal(op.grid.num_nodes)
-        if masked:
-            rhs = np.where(op.mask.included, rhs, 0.0)
         ref = scipy.sparse.linalg.spsolve(lin.matrix, rhs)
         assert np.abs(lin.solve(rhs) - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -198,21 +195,17 @@ def assert_same_csc(a, b):
 
 
 @pytest.mark.parametrize("name", ["fucik", "finite_sup", "pucci_plus"])
-@pytest.mark.parametrize("masked", [False, True], ids=["full", "half"])
+@pytest.mark.parametrize("half", [False, True], ids=["full", "half"])
 @pytest.mark.parametrize("dim", [1, 2])
-def test_linearize_reuses_linearization_while_policy_repeats(dim, masked, name):
-    grid, families = STENCILS[dim]
-    mask = half_domain_mask(grid) if masked else None
+def test_linearize_reuses_linearization_while_policy_repeats(dim, half, name):
+    grid, families = stencil_grid(dim, half)
     rng = np.random.default_rng(12)
     u = rng.standard_normal(grid.num_nodes)
     rhs = rng.standard_normal(grid.num_nodes)
-    if mask is not None:
-        u = np.where(mask.included, u, 0.0)
-    nodes = np.flatnonzero(u)
     first, last = u.copy(), u.copy()
-    first[nodes[0]] *= -1.0
-    last[nodes[-1]] *= -1.0
-    op = DiscreteOperator(families[name], grid, -3.0, mask)
+    first[0] *= -1.0
+    last[-1] *= -1.0
+    op = DiscreteOperator(families[name], grid, -3.0)
     lin = op.linearize(u)
     x = lin.solve(rhs)
 
@@ -224,7 +217,7 @@ def test_linearize_reuses_linearization_while_policy_repeats(dim, masked, name):
     prev = lin
     for v in (-u, first, last, u, 2.0 * u):
         got = op.linearize(v)
-        fresh = DiscreteOperator(families[name], grid, -3.0, mask).linearize(v)
+        fresh = DiscreteOperator(families[name], grid, -3.0).linearize(v)
         assert (got is prev) == np.array_equal(got.active, prev.active)
         assert np.array_equal(got.active, fresh.active)
         assert_same_csc(got.matrix, fresh.matrix)
@@ -233,19 +226,16 @@ def test_linearize_reuses_linearization_while_policy_repeats(dim, masked, name):
     assert prev is not lin
     assert np.array_equal(prev.solve(rhs), x)
 
-    # operators differing only in shift or mask share nothing
-    other_mask = None if masked else half_domain_mask(grid)
-    for other in (DiscreteOperator(families[name], grid, -2.0, mask),
-                  DiscreteOperator(families[name], grid, -3.0, other_mask)):
-        lin_other = other.linearize(u)
-        assert lin_other is not op.linearize(u)
-        assert not np.array_equal(lin_other.diag, lin.diag)
+    # operators differing only in shift share nothing
+    lin_other = DiscreteOperator(families[name], grid, -2.0).linearize(u)
+    assert lin_other is not op.linearize(u)
+    assert not np.array_equal(lin_other.diag, lin.diag)
 
 
 @st.composite
 def finite_sup_operators(draw):
     """Random small grid, random finite_sup family passing the CFL check,
-    random mask and shift."""
+    random shift."""
     dim = draw(st.integers(1, 2))
     n = tuple(draw(st.integers(3, 8)) for _ in range(dim))
     extents = tuple((0.0, draw(st.floats(0.5, 3.0))) for _ in range(dim))
@@ -256,13 +246,9 @@ def finite_sup_operators(draw):
          [draw(coeff) for _ in range(dim)], draw(coeff))
         for _ in range(draw(st.integers(1, 4)))
     ]
-    included = np.array(draw(st.lists(st.booleans(), min_size=grid.num_nodes,
-                                      max_size=grid.num_nodes)))
-    assume(included.any())
-    mask = None if included.all() else SubdomainMask(grid, included)
     try:
         op = DiscreteOperator(ControlFamily.finite_sup(controls), grid,
-                              draw(st.floats(-5.0, 5.0)), mask)
+                              draw(st.floats(-5.0, 5.0)))
     except AdmissibilityError:
         assume(False)
     return op, draw(st.integers(0, 2**32 - 1))
@@ -274,8 +260,6 @@ def test_random_stencil_matrix_apply_and_algebra(case):
     op, seed = case
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(op.grid.num_nodes)
-    if op.mask is not None:
-        u = np.where(op.mask.included, u, 0.0)
     lin = op.linearize(u)
     scale = op.matrix_scale() * np.abs(u).max()
     assert np.abs(lin.matrix @ u - op.apply_flat(u)).max() <= 1e-9 * scale
