@@ -1,7 +1,7 @@
 """Tracing the solution set of F_h[u] + lam*u = t*phi_1^+ + h over t.
 
 The solution set is explored in the regime the spectral position of lam
-dictates:
+dictates (``BranchContext.regime`` names it):
 
 * strictly below lam_1^+: a single decreasing convex curve, swept
   directly with warm starts (``sweep_subcritical``);
@@ -72,8 +72,6 @@ from .operators import ControlFamily, DiscreteOperator
 AT_LAM_PLUS = "at_lam_plus"
 AT_LAM_MINUS = "at_lam_minus"
 
-DEFAULT_RESONANCE_SEQ = tuple(2.0 ** (-k) for k in range(1, 21))
-
 
 @dataclass
 class BranchConfig:
@@ -86,7 +84,8 @@ class BranchConfig:
     n_samples: int = 21
     h_fun: GridFunction | None = None
     lam_offset: float = 0.0
-    resonance_seq: tuple[float, ...] = DEFAULT_RESONANCE_SEQ
+    # the resonance gap ladder is eps_k = 2^-k for k = 1..resonance_levels
+    resonance_levels: int = 20
 
     def __post_init__(self):
         if not self.t_range[0] < self.t_range[1]:
@@ -95,9 +94,6 @@ class BranchConfig:
             raise ConfigurationError("need at least two samples")
         if isinstance(self.lam, str) and self.lam not in (AT_LAM_PLUS, AT_LAM_MINUS):
             raise ConfigurationError(f"unknown symbolic lambda {self.lam!r}")
-        if any(e <= 0 for e in self.resonance_seq) or list(self.resonance_seq) != sorted(
-                self.resonance_seq, reverse=True):
-            raise ConfigurationError("resonance_seq must be positive and decreasing")
 
 
 @dataclass
@@ -135,7 +131,6 @@ class BranchContext:
     """Resolved spectral data shared by the exploration modes."""
 
     def __init__(self, cfg: BranchConfig):
-        self.cfg = cfg
         self.grid = cfg.grid
         self.family = cfg.family
         self.eig_plus = principal_eigen(cfg.family, cfg.grid, "+")
@@ -155,25 +150,37 @@ class BranchContext:
             raise RegimeError(
                 "eigenvalue ordering lam_1^+ <= lam_1^- violated "
                 f"({self.eig_plus.lam} > {self.eig_minus.lam}); broken stencil?")
-        self.lam = self._resolve_lambda()
+        base = {AT_LAM_PLUS: self.eig_plus.lam, AT_LAM_MINUS: self.eig_minus.lam}.get(cfg.lam)
+        self.lam = (float(cfg.lam) if base is None else base) + cfg.lam_offset
 
     @property
     def is_degenerate(self) -> bool:
         """Both eigenvalues (numerically) coincide: every member operator
         shares its principal pair, and resonance modes are refused."""
-        return self.spectral_gap <= 1e-6
-
-    def _resolve_lambda(self) -> float:
-        lam = self.cfg.lam
-        if lam == AT_LAM_PLUS:
-            return self.eig_plus.lam + self.cfg.lam_offset
-        if lam == AT_LAM_MINUS:
-            return self.eig_minus.lam + self.cfg.lam_offset
-        return float(lam) + self.cfg.lam_offset
+        return self.eig_minus.lam - self.eig_plus.lam <= 1e-6
 
     @property
-    def spectral_gap(self) -> float:
-        return self.eig_minus.lam - self.eig_plus.lam
+    def regime(self) -> str:
+        """Where lam sits against lam_1^+ <= lam_1^-, the one decision that
+        picks an exploration mode: 'resonance_plus' or 'resonance_minus'
+        within 1e-9*(1 + |lam_1^-|) of an eigenvalue, else 'subcritical'
+        below lam_1^+, 'fold' between the two and 'negative' above lam_1^-."""
+        lam = self.lam
+        tol = 1e-9 * (1.0 + abs(self.eig_minus.lam))
+        if abs(lam - self.eig_plus.lam) <= tol:
+            return "resonance_plus"
+        if abs(lam - self.eig_minus.lam) <= tol:
+            return "resonance_minus"
+        if lam < self.eig_plus.lam:
+            return "subcritical"
+        if lam < self.eig_minus.lam:
+            return "fold"
+        return "negative"
+
+    @property
+    def resonance_sign(self) -> str | None:
+        """'+' or '-' at resonance with lam_1^+ or lam_1^-, None elsewhere."""
+        return {"resonance_plus": "+", "resonance_minus": "-"}.get(self.regime)
 
     def rhs(self, t: float) -> GridFunction:
         return self.eig_plus.phi * t + self.h
@@ -354,7 +361,7 @@ def locate_tstar_resonance(cfg: BranchConfig, sign: str,
 
     At each gap eps_k the problem is solved off resonance and bisection
     separates blown-up from bounded responses; the boundary sequence is
-    extrapolated over the ladder.
+    extrapolated over the ladder. ``sign`` must match ``ctx.regime``.
     """
     ctx = ctx or prepare(cfg)
     if ctx.is_degenerate:
@@ -363,6 +370,11 @@ def locate_tstar_resonance(cfg: BranchConfig, sign: str,
             "modes are refused for such families")
     if sign not in ("+", "-"):
         raise ConfigurationError("sign must be '+' or '-'")
+    if sign != ctx.resonance_sign:
+        raise RegimeError(
+            f"resonance sign {sign!r} needs lam at lam_1^{sign}; lam = {ctx.lam} is in "
+            f"the {ctx.regime} regime (lam_1^+ = {ctx.eig_plus.lam}, "
+            f"lam_1^- = {ctx.eig_minus.lam})")
     lam_star = ctx.eig_plus.lam if sign == "+" else ctx.eig_minus.lam
     phi_dir = ctx.eig_plus.phi if sign == "+" else ctx.eig_minus.phi
     t_lo0, t_hi0 = cfg.t_range
@@ -372,7 +384,7 @@ def locate_tstar_resonance(cfg: BranchConfig, sign: str,
     evidence: list[tuple] = []
     level_tables: list[dict] = []
 
-    for eps in cfg.resonance_seq:
+    for eps in (2.0 ** (-k) for k in range(1, cfg.resonance_levels + 1)):
         lam_k = lam_star - eps if sign == "+" else lam_star + eps
         op_k = ctx.operator(lam_k)
         tau = min(1e7, 1.0 / (10.0 * math.sqrt(eps)))
@@ -502,10 +514,13 @@ def uniqueness_probe_at(cfg: BranchConfig, t: float, ctx: BranchContext | None =
     return _uniqueness_probe(op, f, ctx, 1.0 + abs(t) + sup_norm(ctx.h), tol_gap)
 
 
-def trace_resonant_branch(cfg: BranchConfig, sign: str, t_star: float,
-                          ctx: BranchContext | None = None, *,
-                          bracket_halfwidth: float) -> Branch:
+def trace_resonant_branch(cfg: BranchConfig, crit: CriticalReport,
+                          ctx: BranchContext | None = None) -> Branch:
     """Sample the solution curve at exact resonance above t*.
+
+    ``crit`` is the report of ``locate_tstar_resonance``: its kind gives
+    the eigenvalue, t* is ``crit.t_star`` and the ray checks are held to
+    a tolerance tied to the half-width of ``crit.bracket``.
 
     sign '+': warm sweep down to t* with uniqueness probes, then the
     bounded/unbounded dichotomy is classified; in the bounded case the
@@ -516,6 +531,11 @@ def trace_resonant_branch(cfg: BranchConfig, sign: str, t_star: float,
     negative sector is probed with eigen-direction ladders (negativity of
     large solutions, interior decay, and a ray check as evidence).
     """
+    sign = {"ResonancePlus": "+", "ResonanceMinus": "-"}.get(crit.kind)
+    if sign is None:
+        raise RegimeError(f"resonance tracing needs a resonance report, got kind {crit.kind!r}")
+    t_star = crit.t_star
+    bracket_halfwidth = 0.5 * (crit.bracket[1] - crit.bracket[0])
     ctx = ctx or prepare(cfg)
     if ctx.is_degenerate:
         raise RegimeError("resonance tracing refused for spectrally degenerate families")
@@ -562,7 +582,6 @@ def trace_resonant_branch(cfg: BranchConfig, sign: str, t_star: float,
             if bounded and all(r <= ray_tol for r in ray.values()):
                 diagnostics["alternative"] = "ii"
                 diagnostics["u_star_norm"] = sup_norm(u_star)
-                diagnostics["u_star"] = u_star
             elif not bounded and direction_cosine(u_star, phi_plus) >= 0.99 \
                     and u_star.min() > 0:
                 diagnostics["alternative"] = "i"
@@ -1071,10 +1090,10 @@ def make_teo6_family(grid: Grid) -> tuple[ControlFamily, float]:
     return fam, d0
 
 
-def uniqueness_probe_teo6(family: ControlFamily, grid: Grid, d0: float, n_starts: int = 8,
+def uniqueness_probe_teo6(family: ControlFamily, grid: Grid, d0: float,
                           n_rhs: int = 10, seed: int = 0) -> dict:
-    """Battery of right-hand sides x start basins; every converged basin per
-    f must agree when both eigenvalues sit in (-d0, 0).
+    """Battery of right-hand sides x eight start basins; every converged
+    basin per f must agree when both eigenvalues sit in (-d0, 0).
 
     Two converged iterates count as distinct solutions only when they
     differ by more than ten times the residual target ``solve`` certifies
@@ -1094,10 +1113,10 @@ def uniqueness_probe_teo6(family: ControlFamily, grid: Grid, d0: float, n_starts
     def starts(scale: float) -> list[GridFunction]:
         base = [grid.zeros(), phi * scale, phi * (-scale), phi * (10 * scale),
                 phi * (-10 * scale), mixed * scale]
-        while len(base) < n_starts:
+        while len(base) < 8:
             base.append(GridFunction(grid, rng.standard_normal(grid.num_nodes) * scale,
                                      check_finite=False))
-        return base[:n_starts]
+        return base
 
     cases = []
     coords = grid.coords()

@@ -97,9 +97,7 @@ def _run_t12(spec: CheckSpec) -> CheckResult:
     cfg = br.BranchConfig(fam, g, br.AT_LAM_PLUS, (-3.0, 12.0), 11)
     ctx = br.prepare(cfg)
     crit = br.locate_tstar_resonance(cfg, "+", ctx)
-    halfw = 0.5 * (crit.bracket[1] - crit.bracket[0])
-    branch = br.trace_resonant_branch(cfg, "+", crit.t_star, ctx,
-                                      bracket_halfwidth=halfw)
+    branch = br.trace_resonant_branch(cfg, crit, ctx)
     d = branch.diagnostics
     probes_ok = all(pr["agree"] for pr in d["uniqueness_probes"].values())
     rays_ok = d.get("alternative") == "ii" and all(
@@ -124,10 +122,10 @@ def _run_t13(spec: CheckSpec) -> CheckResult:
     g = _grid(spec)
     cfg = br.BranchConfig(ControlFamily.fucik(15.0, dim=g.dim), g, 0.0, (-1.0, 3.0), 17)
     ctx = br.prepare(cfg)
-    if not ctx.eig_plus.lam < ctx.lam < ctx.eig_minus.lam:
+    if ctx.regime != "fold":
         raise ConfigurationError(
-            "T1.3 spec/regime mismatch: needs lam_1^+ < lam < lam_1^-, got "
-            f"{ctx.eig_plus.lam} / {ctx.lam} / {ctx.eig_minus.lam}")
+            f"T1.3 spec/regime mismatch: needs the fold regime, got {ctx.regime} with "
+            f"lam_1^+ / lam / lam_1^- = {ctx.eig_plus.lam} / {ctx.lam} / {ctx.eig_minus.lam}")
     minimal, second, crit = br.trace_fold(cfg, ctx)
     op = ctx.operator()
     census = basin_census(op, ctx.rhs(1.0), ctx.ladder(2.0), distinct_gap=1e-4)
@@ -161,9 +159,7 @@ def _run_t14(spec: CheckSpec) -> CheckResult:
     cfg = br.BranchConfig(fam, g, br.AT_LAM_MINUS, (-3.0, 3.0), 11, h_fun=h_fun)
     ctx = br.prepare(cfg)
     crit = br.locate_tstar_resonance(cfg, "-", ctx)
-    halfw = 0.5 * (crit.bracket[1] - crit.bracket[0])
-    branch = br.trace_resonant_branch(cfg, "-", crit.t_star, ctx,
-                                      bracket_halfwidth=halfw)
+    branch = br.trace_resonant_branch(cfg, crit, ctx)
     d = branch.diagnostics
     bounds = crit.diagnostics["boundaries"]
     widths = crit.diagnostics["widths"]
@@ -216,7 +212,7 @@ def _run_t15(spec: CheckSpec) -> CheckResult:
 def _run_t16(spec: CheckSpec) -> CheckResult:
     g = _grid(spec)
     fam, d0 = br.make_teo6_family(g)
-    rep = br.uniqueness_probe_teo6(fam, g, n_starts=8, n_rhs=10, seed=spec.seed, d0=d0)
+    rep = br.uniqueness_probe_teo6(fam, g, n_rhs=10, seed=spec.seed, d0=d0)
     worst = max(c["n_solutions"] for c in rep["cases"])
     return CheckResult(
         "T1.6", "Pass" if rep["all_unique"] else "Fail",

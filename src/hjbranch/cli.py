@@ -6,8 +6,9 @@ all defaults echoed back into the run log). Subcommands:
     eigen | solve | branch | tstar | suite | diagram  <scenario> --out DIR
 
 Exit codes: 0 success, 1 assertion failure (suite check failed),
-2 schema/configuration error, 3 inadmissible discretization (CFL),
-4 solver/regime/runtime error.
+2 schema/configuration error (also a scenario, output directory or
+earlier output that cannot be read or created), 3 inadmissible
+discretization (CFL), 4 solver/regime/runtime error.
 """
 
 from __future__ import annotations
@@ -84,11 +85,10 @@ class Scenario:
         grid = self.grid()
         b = self.data["branch"]
         lam, offset = self.lam()
-        levels = b["resonance_levels"]
         return br.BranchConfig(
             self.family(), grid, lam, tuple(b["t_range"]), b["n_samples"],
             h_fun=self.h_fun(grid), lam_offset=offset,
-            resonance_seq=tuple(2.0 ** (-k) for k in range(1, levels + 1)))
+            resonance_levels=b["resonance_levels"])
 
 
 def _err(path: str, message: str) -> ConfigurationError:
@@ -311,16 +311,14 @@ def validate_scenario(raw: dict) -> dict:
 
 def parse_scenario(path) -> Scenario:
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigurationError(f"scenario file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"invalid JSON in {path}: {exc}")
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read scenario file {path}: {exc}") from exc
+    try:
+        raw = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ConfigurationError(f"invalid JSON in {path}: {exc}") from exc
     return Scenario(validate_scenario(raw))
-
-
-def emit_scenario(scenario: Scenario) -> str:
-    return json.dumps(scenario.data, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -374,73 +372,47 @@ def _cmd_solve(sc: Scenario, out: Path) -> int:
     return EXIT_OK
 
 
-def _regime(ctx: br.BranchContext) -> str:
-    lam = ctx.lam
-    tol = 1e-9 * (1.0 + abs(ctx.eig_minus.lam))
-    if abs(lam - ctx.eig_plus.lam) <= tol:
-        return "resonance_plus"
-    if abs(lam - ctx.eig_minus.lam) <= tol:
-        return "resonance_minus"
-    if lam < ctx.eig_plus.lam:
-        return "subcritical"
-    if lam < ctx.eig_minus.lam:
-        return "fold"
-    return "negative"
+def _prepare(sc: Scenario) -> tuple[br.BranchConfig, br.BranchContext]:
+    """The preamble of branch and tstar: refuse an inf-type family, then
+    resolve the spectral data."""
+    cfg = sc.branch_config()
+    if not cfg.family.is_convex:
+        raise _err("family.kind", "branch and tstar need a sup-type (convex) family, "
+                   f"got the inf-type {cfg.family.kind!r}")
+    return cfg, br.prepare(cfg)
 
 
 def _cmd_branch(sc: Scenario, out: Path) -> int:
-    cfg = sc.branch_config()
-    if not cfg.family.is_convex:
-        raise _err("family.kind", "branch needs a sup-type (convex) family, "
-                   f"got the inf-type {cfg.family.kind!r}")
-    ctx = br.prepare(cfg)
-    regime = _regime(ctx)
-    summary: dict = {"regime": regime, "lam": ctx.lam,
+    cfg, ctx = _prepare(sc)
+    summary: dict = {"regime": ctx.regime, "lam": ctx.lam,
                      "grid": cfg.grid.to_dict(),
                      "lam_plus": ctx.eig_plus.lam, "lam_minus": ctx.eig_minus.lam}
     phi = ctx.eig_plus.phi
-    traces = []
-    if regime == "subcritical":
-        branch = br.sweep_subcritical(cfg, ctx)
-        write_branch(out / "branch.csv", branch, phi)
-        traces = [p.solve.as_dict() for p in branch.points]
-        summary["diagnostics"] = branch.diagnostics
-    elif regime in ("resonance_plus", "resonance_minus"):
-        sign = "+" if regime == "resonance_plus" else "-"
-        crit = br.locate_tstar_resonance(cfg, sign, ctx)
-        halfw = 0.5 * (crit.bracket[1] - crit.bracket[0])
-        branch = br.trace_resonant_branch(cfg, sign, crit.t_star, ctx,
-                                          bracket_halfwidth=halfw)
-        write_branch(out / "branch.csv", branch, phi)
-        traces = [p.solve.as_dict() for p in branch.points]
-        diag = {k: v for k, v in branch.diagnostics.items()
-                if k not in ("u_star",)}
-        diag["uniqueness_probes"] = {str(k): v for k, v in
-                                     diag.get("uniqueness_probes", {}).items()}
-        summary["t_star"] = crit.t_star
-        summary["bracket"] = list(crit.bracket)
-        summary["diagnostics"] = diag
-        write_json(out / "tstar.json", _critical_payload(crit))
-    elif regime == "fold":
-        minimal, second, crit = br.trace_fold(cfg, ctx)
-        write_branch(out / "branch_minimal.csv", minimal, phi)
+    crit = None
+    if ctx.regime == "fold":
+        branch, second, crit = br.trace_fold(cfg, ctx)
+        write_branch(out / "branch_minimal.csv", branch, phi)
         write_branch(out / "branch_second.csv", second, phi)
-        traces = [p.solve.as_dict() for p in minimal.points]
+        diagnostics = {"minimal": branch.diagnostics, "fold": crit.diagnostics}
+    else:
+        if ctx.regime == "subcritical":
+            branch = br.sweep_subcritical(cfg, ctx)
+        elif ctx.regime == "negative":
+            branch = br.sweep_negative_regime(cfg, ctx)
+        else:
+            crit = br.locate_tstar_resonance(cfg, ctx.resonance_sign, ctx)
+            branch = br.trace_resonant_branch(cfg, crit, ctx)
+        write_branch(out / "branch.csv", branch, phi)
+        diagnostics = branch.diagnostics
+    if crit is not None:
         summary["t_star"] = crit.t_star
         summary["bracket"] = list(crit.bracket)
-        summary["diagnostics"] = {"minimal": minimal.diagnostics,
-                                  "fold": crit.diagnostics}
         write_json(out / "tstar.json", _critical_payload(crit))
-    else:
-        branch = br.sweep_negative_regime(cfg, ctx)
-        write_branch(out / "branch.csv", branch, phi)
-        traces = [p.solve.as_dict() for p in branch.points]
-        summary["diagnostics"] = branch.diagnostics
+    summary["diagnostics"] = diagnostics
     if sc.data["dump_points"]:
-        points = minimal.points if regime == "fold" else branch.points
-        for i, p in enumerate(points):
+        for i, p in enumerate(branch.points):
             write_grid_function(out / f"point_{i:04d}.csv", p.u)
-    write_jsonl(out / "trace.jsonl", traces)
+    write_jsonl(out / "trace.jsonl", [p.solve.as_dict() for p in branch.points])
     write_json(out / "summary.json", summary)
     return EXIT_OK
 
@@ -452,17 +424,11 @@ def _critical_payload(crit: br.CriticalReport) -> dict:
 
 
 def _cmd_tstar(sc: Scenario, out: Path) -> int:
-    cfg = sc.branch_config()
-    if not cfg.family.is_convex:
-        raise _err("family.kind", "tstar needs a sup-type (convex) family, "
-                   f"got the inf-type {cfg.family.kind!r}")
-    ctx = br.prepare(cfg)
-    lam_mode = sc.data["lam"]
-    if isinstance(lam_mode, dict) and lam_mode["mode"] == br.AT_LAM_MINUS:
-        sign = "-"
-    else:
-        sign = "+"
-    crit = br.locate_tstar_resonance(cfg, sign, ctx)
+    cfg, ctx = _prepare(sc)
+    if ctx.resonance_sign is None:
+        raise _err("lam", f"tstar needs lam at lam_1^+ = {ctx.eig_plus.lam} or lam_1^- = "
+                   f"{ctx.eig_minus.lam}, got {ctx.lam} ({ctx.regime} regime)")
+    crit = br.locate_tstar_resonance(cfg, ctx.resonance_sign, ctx)
     write_json(out / "tstar.json", _critical_payload(crit))
     write_csv(out / "evidence.csv", ["eps", "t", "sup_norm", "eigdir_cosine"],
               crit.blowup_evidence)
@@ -487,21 +453,23 @@ def _read_branch_csv(path: Path) -> list[tuple[float, float]]:
 
 
 def _cmd_diagram(sc: Scenario, out: Path) -> int:
-    curves = []
-    for name, label in (("branch.csv", "branch"),
-                        ("branch_minimal.csv", "minimal"),
-                        ("branch_second.csv", "second")):
-        p = out / name
+    curves, markers = [], []
+    try:
+        for name, label in (("branch.csv", "branch"),
+                            ("branch_minimal.csv", "minimal"),
+                            ("branch_second.csv", "second")):
+            p = out / name
+            if p.exists():
+                curves.append((label, _read_branch_csv(p)))
+        p = out / "tstar.json"
         if p.exists():
-            curves.append((label, _read_branch_csv(p)))
+            crit = json.loads(p.read_text(encoding="utf-8"))
+            markers.append((f"t* ({crit['kind']})", float(crit["t_star"])))
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        raise ConfigurationError(f"cannot read {p}: {exc!r}") from exc
     if not curves:
         raise ConfigurationError(
             f"no branch CSV found in {out}; run the branch command first")
-    markers = []
-    tstar_path = out / "tstar.json"
-    if tstar_path.exists():
-        crit = json.loads(tstar_path.read_text(encoding="utf-8"))
-        markers.append((f"t* ({crit['kind']})", float(crit["t_star"])))
     svg_diagram(out / "bifurcation.svg", curves, markers,
                 title=f"solution set: {sc.name}")
     return EXIT_OK
@@ -520,7 +488,10 @@ _COMMANDS = {
 def run_command(cmd: str, scenario: Scenario, out_dir, seed: int | None = None) -> int:
     """Dispatch a subcommand and write run.json; returns the exit code."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"--out: {exc}") from exc
     if seed is not None:
         scenario.data["seeds"] = [seed] + scenario.data["seeds"][1:]
     started = time.time()

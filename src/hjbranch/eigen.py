@@ -103,8 +103,9 @@ def mirrored_plus_eigen(family: ControlFamily, grid: Grid) -> EigenPair:
 
 
 def eigen_bisect_crosscheck(family: ControlFamily, grid: Grid, sign: str,
-                            bracket: tuple[float, float], n_steps: int = 40) -> float:
-    """Locate the principal eigenvalue by bisection on a sign classification.
+                            bracket: tuple[float, float]) -> float:
+    """Locate the principal eigenvalue by 40 bisection steps on a sign
+    classification.
 
     For sign '+': solve (F + lam)[u] = -phi_probe with a positive probe;
     lam below the eigenvalue yields a strictly positive solution, above
@@ -135,7 +136,7 @@ def eigen_bisect_crosscheck(family: ControlFamily, grid: Grid, sign: str,
         raise BracketError(f"lower bracket endpoint {lo} does not classify below")
     if below(hi):
         raise BracketError(f"upper bracket endpoint {hi} does not classify above")
-    for _ in range(n_steps):
+    for _ in range(40):
         mid = 0.5 * (lo + hi)
         if below(mid):
             lo = mid

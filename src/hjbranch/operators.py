@@ -506,10 +506,10 @@ class PropertyReport:
         }
 
 
-def check_h0_h3(op: DiscreteOperator, trials: int = 100, seed: int = 0,
-                tolerance: float = 1e-10) -> PropertyReport:
+def check_h0_h3(op: DiscreteOperator, trials: int = 100, seed: int = 0) -> PropertyReport:
     """Verify positive 1-homogeneity, the difference bound, the midpoint
-    inequality and the extremal-envelope sandwich on seeded random pairs.
+    inequality and the extremal-envelope sandwich on seeded random pairs,
+    each to a scaled tolerance of 1e-10.
 
     Convex kinds are checked as sup-forms; the inf-type ``pucci_minus``
     is checked with the mirrored (super-additive) orientation.
@@ -551,8 +551,8 @@ def check_h0_h3(op: DiscreteOperator, trials: int = 100, seed: int = 0,
         viol = max(((Fu - Fv) - upper).max(), (lower - (Fu - Fv)).max()) / scale
         worst["s"] = max(worst["s"], max(viol, 0.0))
     report = PropertyReport(op.family.kind, trials, worst["h"], worst["a"],
-                            worst["m"], worst["s"], tolerance)
+                            worst["m"], worst["s"], 1e-10)
     if not report.passed:
         raise PropertyFailureError(
-            f"stencil algebra violated beyond {tolerance:g}: {report.as_dict()}")
+            f"stencil algebra violated beyond 1e-10: {report.as_dict()}")
     return report

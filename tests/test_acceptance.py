@@ -92,7 +92,7 @@ def test_criterion_04_cross_method_agreement(grid199, laplacian, lam_h199):
     worst = 0.0
     for fam, sign, bracket in cases:
         direct = principal_eigen(fam, grid199, sign).lam
-        bisected = eigen_bisect_crosscheck(fam, grid199, sign, bracket, 40)
+        bisected = eigen_bisect_crosscheck(fam, grid199, sign, bracket)
         worst = max(worst, abs(direct - bisected))
     assert worst <= 1e-7
     worst_mirror = 0.0
@@ -128,7 +128,7 @@ def test_criterion_06_resonance_plus(grid199, lam_h199):
     assert lo < 0.0 < hi
     assert hi - lo <= 1e-3
     halfw = 0.5 * (hi - lo)
-    branch = trace_resonant_branch(cfg, "+", crit.t_star, ctx, bracket_halfwidth=halfw)
+    branch = trace_resonant_branch(cfg, crit, ctx)
     diag = branch.diagnostics
     assert diag["alternative"] == "ii"
     assert diag["u_star_norm"] <= 10 * halfw + 1e-3
@@ -206,9 +206,7 @@ def test_criterion_09_negative_regime_evidence(grid199, lam_h199):
     tail = min(len(bounds), 5)
     for i in range(len(bounds) - tail, len(bounds) - 1):
         assert bounds[i + 1] >= bounds[i] - (widths[i] + widths[i + 1] + 1e-12)
-    halfw = 0.5 * (crit.bracket[1] - crit.bracket[0])
-    res = trace_resonant_branch(cfg_res, "-", crit.t_star, ctx,
-                                bracket_halfwidth=halfw)
+    res = trace_resonant_branch(cfg_res, crit, ctx)
     assert res.diagnostics["nonexistence_below"]
     assert res.diagnostics["existence_above"]
     _report(9, f"existence across [-100, 100]; growth/decay trends hold; "
@@ -218,7 +216,7 @@ def test_criterion_09_negative_regime_evidence(grid199, lam_h199):
 def test_criterion_10_uniqueness_when_both_negative(grid199):
     started = time.time()
     fam, d0 = make_teo6_family(grid199)
-    rep = uniqueness_probe_teo6(fam, grid199, n_starts=8, n_rhs=10, seed=0, d0=d0)
+    rep = uniqueness_probe_teo6(fam, grid199, n_rhs=10, seed=0, d0=d0)
     assert -d0 <= rep["lam_plus"] <= rep["lam_minus"] < 0
     assert rep["all_unique"]
     seeded = [c for c in rep["cases"] if c["label"] == "seeded"]

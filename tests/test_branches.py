@@ -8,6 +8,7 @@ from hjbranch.branches import (
     AT_LAM_MINUS,
     AT_LAM_PLUS,
     BranchConfig,
+    CriticalReport,
     diagram_coordinate,
     interior_max,
     locate_tstar_resonance,
@@ -103,7 +104,8 @@ def test_trace_resonant_plus(grid199, lam_h199):
     fam = ControlFamily.fucik(lam_h199)
     cfg = BranchConfig(fam, grid199, AT_LAM_PLUS, (-3.0, 12.0), 11)
     ctx = prepare(cfg)
-    branch = trace_resonant_branch(cfg, "+", 0.0, ctx, bracket_halfwidth=1e-4)
+    crit = CriticalReport(0.0, (-1e-4, 1e-4), "ResonancePlus")
+    branch = trace_resonant_branch(cfg, crit, ctx)
     d = branch.diagnostics
     assert d["alternative"] == "ii"
     assert d["alternative_certified"]
@@ -112,6 +114,43 @@ def test_trace_resonant_plus(grid199, lam_h199):
     assert all(p["agree"] for p in d["uniqueness_probes"].values())
     top = max(branch.points, key=lambda p: p.t)
     assert top.u.max() < 0
+
+
+def _resonance_minus_cfg(lam=AT_LAM_MINUS, lam_offset=0.0):
+    """1D n=49 Fucik problem with lam_1^+ = lam_h - 4 < lam_1^- = lam_h."""
+    g = build_grid(1, (0.0, 1.0), 49)
+    x = g.coords()[:, 0]
+    return BranchConfig(ControlFamily.fucik(discrete_lam1(49) + 4.0), g, lam, (-3.0, 3.0), 5,
+                        h_fun=GridFunction(g, x * (1 - x)), lam_offset=lam_offset)
+
+
+# the resonance band is 1e-9 * (1 + |lam_1^-|), about 1.1e-8 here
+@pytest.mark.parametrize("lam, offset, regime", [
+    (AT_LAM_PLUS, -1.0, "subcritical"),
+    (AT_LAM_PLUS, -5e-9, "resonance_plus"),
+    (AT_LAM_PLUS, 0.0, "resonance_plus"),
+    (AT_LAM_PLUS, 5e-9, "resonance_plus"),
+    (AT_LAM_PLUS, 2e-8, "fold"),
+    (AT_LAM_PLUS, 2.0, "fold"),
+    (AT_LAM_MINUS, 0.0, "resonance_minus"),
+    (AT_LAM_MINUS, 0.5, "negative"),
+])
+def test_branch_context_regime(lam, offset, regime):
+    ctx = prepare(_resonance_minus_cfg(lam, offset))
+    assert ctx.regime == regime
+    assert ctx.resonance_sign == {"resonance_plus": "+", "resonance_minus": "-"}.get(regime)
+
+
+def test_locate_tstar_refuses_sign_off_the_regime():
+    cfg = _resonance_minus_cfg()
+    with pytest.raises(RegimeError, match="resonance_minus regime"):
+        locate_tstar_resonance(cfg, "+")
+
+
+def test_trace_resonant_branch_refuses_fold_report():
+    crit = CriticalReport(0.0, (-1e-4, 1e-4), "Fold")
+    with pytest.raises(RegimeError, match="'Fold'"):
+        trace_resonant_branch(_resonance_minus_cfg(), crit)
 
 
 def test_uniqueness_probe_at(grid199, lam_h199):
@@ -162,7 +201,7 @@ def test_locate_tstar_classifies_each_t_once_per_level():
     x = grid.coords()[:, 0]
     cfg = BranchConfig(fam, grid, AT_LAM_MINUS, (-3.0, 3.0), 5,
                        h_fun=GridFunction(grid, x * (1 - x)),
-                       resonance_seq=tuple(2.0 ** (-k) for k in range(1, 7)))
+                       resonance_levels=6)
     ctx = prepare(cfg)
     # every classify starts with ctx.rhs(t); each level builds one operator
     levels, calls = [], []
@@ -217,7 +256,7 @@ def test_make_teo6_family(grid199, lam_h199):
 
 def test_uniqueness_probe_teo6(grid199):
     fam, d0 = make_teo6_family(grid199)
-    rep = uniqueness_probe_teo6(fam, grid199, n_starts=8, n_rhs=4, seed=5, d0=d0)
+    rep = uniqueness_probe_teo6(fam, grid199, n_rhs=4, seed=5, d0=d0)
     assert -d0 <= rep["lam_plus"] <= rep["lam_minus"] < 0
     assert rep["all_unique"]
     zero_case = [c for c in rep["cases"] if c["label"] == "zero"][0]
@@ -236,7 +275,7 @@ def test_uniqueness_probe_teo6_counts_zero_once_on_any_grid(n, seed):
     # within that guard are one solution, not several
     g = build_grid(1, (0.0, 1.0), n)
     fam, d0 = make_teo6_family(g)
-    rep = uniqueness_probe_teo6(fam, g, d0, n_starts=8, n_rhs=10, seed=seed)
+    rep = uniqueness_probe_teo6(fam, g, d0, n_rhs=10, seed=seed)
     assert [c["n_solutions"] for c in rep["cases"]] == [1] * len(rep["cases"])
     assert rep["all_unique"]
 
@@ -294,9 +333,7 @@ def test_resonance_on_genuinely_nonlinear_family(grid199):
     ctx = prepare(cfg)
     crit = locate_tstar_resonance(cfg, "+", ctx)
     assert crit.bracket[1] - crit.bracket[0] <= 1e-2
-    halfw = 0.5 * (crit.bracket[1] - crit.bracket[0])
-    branch = trace_resonant_branch(cfg, "+", crit.t_star, ctx,
-                                   bracket_halfwidth=halfw)
+    branch = trace_resonant_branch(cfg, crit, ctx)
     d = branch.diagnostics
     assert d["alternative"] in ("i", "ii", "open")
     assert not d["alternative_certified"]  # only the settled case certifies
@@ -356,7 +393,8 @@ def test_sweep_driver_drops_unsolved_parameter_at_resonance_minus(monkeypatch):
     phi = np.sin(np.pi * x)
     t_star = -float(np.dot(x * (1 - x), phi) / np.dot(phi, phi))
     def traced_ts():
-        branch = trace_resonant_branch(cfg, "-", t_star, ctx, bracket_halfwidth=1e-4)
+        crit = CriticalReport(t_star, (t_star - 1e-4, t_star + 1e-4), "ResonanceMinus")
+        branch = trace_resonant_branch(cfg, crit, ctx)
         return [p.t for p in branch.points]
 
     full = traced_ts()

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -69,7 +72,7 @@ def test_round_trip_shipped_scenarios(tmp_path):
     for path in sorted(SCENARIOS.glob("*.json")):
         sc = cli.parse_scenario(path)
         emitted = tmp_path / path.name
-        emitted.write_text(cli.emit_scenario(sc))
+        emitted.write_text(json.dumps(sc.data))
         again = cli.parse_scenario(emitted)
         assert again.data == sc.data
 
@@ -180,6 +183,96 @@ def test_inf_type_family_refused_by_branch_and_tstar(tmp_path, capsys):
             assert not (tmp_path / cmd / "summary.json").exists()
         else:
             assert code == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("name, lam", [
+    ("fucik_subcritical", 0.0),
+    ("resonance_minus", {"mode": "at_lam_minus", "offset": 0.5}),
+])
+def test_tstar_needs_lam_at_an_eigenvalue(tmp_path, capsys, name, lam):
+    data = json.loads((SCENARIOS / f"{name}.json").read_text())
+    data["lam"] = lam
+    out = tmp_path / "ts"
+    code = cli.main(["tstar", write_scenario(tmp_path, data), "--out", str(out)])
+    assert code == cli.EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith("error: lam: ")
+    assert not (out / "tstar.json").exists()
+
+
+def test_tstar_on_shipped_resonance_scenario(tmp_path):
+    out = tmp_path / "ts"
+    assert cli.main(["tstar", str(SCENARIOS / "resonance_minus.json"), "--out", str(out)]) == 0
+    assert json.loads((out / "tstar.json").read_text())["kind"] == "ResonanceMinus"
+
+
+def _directory(tmp_path):
+    return ["eigen", str(tmp_path), "--out", str(tmp_path / "o")]
+
+
+def _scenario_bytes(raw):
+    def argv(tmp_path):
+        path = tmp_path / "sc.json"
+        path.write_bytes(raw)
+        return ["eigen", str(path), "--out", str(tmp_path / "o")]
+    return argv
+
+
+def _out_is_a_file(tmp_path):
+    (tmp_path / "o").write_text("")
+    return ["eigen", write_scenario(tmp_path, minimal_scenario()), "--out", str(tmp_path / "o")]
+
+
+def _diagram_over(tmp_path, files):
+    out = tmp_path / "o"
+    out.mkdir()
+    for name, text in files.items():
+        (out / name).write_text(text)
+    return ["diagram", str(SCENARIOS / "laplacian_eigen.json"), "--out", str(out)]
+
+
+UNREADABLE = {
+    "scenario is a directory": (_directory, "cannot read scenario file"),
+    "scenario not UTF-8": (_scenario_bytes(b"\xff" + json.dumps(minimal_scenario()).encode()),
+                           "cannot read scenario file"),
+    "JSON nested too deep": (_scenario_bytes(b"[" * 100000), "invalid JSON"),
+    "JSON integer too long": (_scenario_bytes(b"1" * 5000), "invalid JSON"),
+    "--out is a file": (_out_is_a_file, "--out: "),
+    "branch.csv d not a number": (
+        lambda tmp: _diagram_over(tmp, {"branch.csv": "t,d\n0.0,x\n"}), "branch.csv"),
+    "tstar.json without kind": (
+        lambda tmp: _diagram_over(tmp, {"branch.csv": "t,d\n0.0,1.0\n",
+                                        "tstar.json": '{"t_star": 0.0}'}), "tstar.json"),
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE)
+def test_unreadable_input_exits_2_with_one_error_line(tmp_path, capsys, case):
+    argv, names = UNREADABLE[case]
+    assert cli.main(argv(tmp_path)) == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and names in err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=64),
+    JSON_VALUES.map(lambda v: json.dumps(v).encode()),
+    st.builds(lambda prefix, v: prefix + json.dumps({**minimal_scenario(), "lam": v}).encode(),
+              st.sampled_from([b"", b"\xff", b"\xc3"]), JSON_VALUES)))
+def test_scenario_file_fuzz_exits_with_a_code(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sc.json"
+        path.write_bytes(raw)
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["eigen", str(path), "--out", str(Path(tmp) / "o")])
+    assert code in (0, 2, 3, 4)
 
 
 def test_nested_unknown_key_path(tmp_path):

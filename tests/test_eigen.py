@@ -76,19 +76,19 @@ def test_zeroth_shift_identity(grid199, laplacian):
 
 def test_bisect_crosscheck_laplacian(grid199, laplacian):
     ep = principal_eigen(laplacian, grid199, "+")
-    val = eigen_bisect_crosscheck(laplacian, grid199, "+", (5.0, 15.0), 40)
+    val = eigen_bisect_crosscheck(laplacian, grid199, "+", (5.0, 15.0))
     assert abs(val - ep.lam) <= 1e-8
 
 
 def test_bisect_crosscheck_fucik_minus(grid199, lam_h199):
     fam = ControlFamily.fucik(5.0)
-    val = eigen_bisect_crosscheck(fam, grid199, "-", (5.0, 15.0), 40)
+    val = eigen_bisect_crosscheck(fam, grid199, "-", (5.0, 15.0))
     assert abs(val - lam_h199) <= 1e-8
 
 
 def test_bisect_rejects_bad_bracket(grid199, laplacian):
     with pytest.raises(BracketError):
-        eigen_bisect_crosscheck(laplacian, grid199, "+", (20.0, 30.0), 10)
+        eigen_bisect_crosscheck(laplacian, grid199, "+", (20.0, 30.0))
 
 
 def test_mirror_identity(grid199):
