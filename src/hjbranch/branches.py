@@ -92,6 +92,8 @@ class BranchConfig:
             raise ConfigurationError("t_range must be increasing")
         if self.n_samples < 2:
             raise ConfigurationError("need at least two samples")
+        if self.resonance_levels < 1:
+            raise ConfigurationError("resonance_levels must be at least 1")
         if isinstance(self.lam, str) and self.lam not in (AT_LAM_PLUS, AT_LAM_MINUS):
             raise ConfigurationError(f"unknown symbolic lambda {self.lam!r}")
 
@@ -176,6 +178,13 @@ class BranchContext:
         if lam < self.eig_minus.lam:
             return "fold"
         return "negative"
+
+    @property
+    def negative_window(self) -> tuple[float, float]:
+        """The lam interval (lam_1^-, lam_1^- + 0.05*max(|lam_1^-|, 1)]
+        that ``sweep_negative_regime`` explores, as (open, closed) ends."""
+        lam_minus = self.eig_minus.lam
+        return lam_minus, lam_minus + 0.05 * max(abs(lam_minus), 1.0)
 
     @property
     def resonance_sign(self) -> str | None:
@@ -1008,11 +1017,11 @@ def sweep_negative_regime(cfg: BranchConfig, ctx: BranchContext | None = None) -
     sup u for large t and the antimaximum property."""
     ctx = ctx or prepare(cfg)
     lam = ctx.lam
-    window = 0.05 * max(abs(ctx.eig_minus.lam), 1.0)
-    if not (ctx.eig_minus.lam < lam <= ctx.eig_minus.lam + window):
+    lo, hi = ctx.negative_window
+    if not lo < lam <= hi:
         raise RegimeError(
-            f"negative-regime sweep needs lam in (lam_1^-, lam_1^- + {window:.3g}]; "
-            f"lam_1^- = {ctx.eig_minus.lam}, got {lam}")
+            f"negative-regime sweep needs lam in (lam_1^-, lam_1^- + {hi - lo:.3g}]; "
+            f"lam_1^- = {lo}, got {lam}")
     op = ctx.operator()
     gap = lam - ctx.eig_minus.lam
     phi = ctx.eig_plus.phi

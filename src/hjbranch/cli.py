@@ -384,6 +384,11 @@ def _prepare(sc: Scenario) -> tuple[br.BranchConfig, br.BranchContext]:
 
 def _cmd_branch(sc: Scenario, out: Path) -> int:
     cfg, ctx = _prepare(sc)
+    if ctx.regime == "negative":
+        lo, hi = ctx.negative_window
+        if not lo < ctx.lam <= hi:
+            raise _err("lam", f"branch above lam_1^- needs lam in ({lo}, {hi}], the "
+                       f"window of the negative-regime sweep; got {ctx.lam}")
     summary: dict = {"regime": ctx.regime, "lam": ctx.lam,
                      "grid": cfg.grid.to_dict(),
                      "lam_plus": ctx.eig_plus.lam, "lam_minus": ctx.eig_minus.lam}

@@ -24,12 +24,15 @@ import numpy as np
 from .errors import BracketError, EigenIterationError, UsageError
 from .grids import Grid, GridFunction, eigen_bump, half_domain_grid, sup_norm
 from .howard import CONVERGED, solve
-from .operators import ControlFamily, DiscreteOperator, MirroredOperator
+from .operators import ControlFamily, DiscreteOperator, Linearization, MirroredOperator
 
 
 _TOL = 1e-10  # eigenvalue change between steps
 _RESIDUAL_TOL = 1e-9  # sup |F_h[phi] + lam*phi| at the normalized iterate
-_MAX_ITERS = 500
+# the fixed shift converges at the rate (lam_1 + sigma)/(lam_2 + sigma), which
+# nears 1 when the gap is small against lam_1, as on anisotropic 2D grids:
+# a 5x3 grid on (0, 2)x(0, 0.5) needs 589 steps, extreme ones about 2,400
+_MAX_ITERS = 5000
 
 
 def proper_shift(family: ControlFamily) -> float:
@@ -66,10 +69,44 @@ def principal_eigen(family: ControlFamily, grid: Grid, sign: str) -> EigenPair:
     return _inverse_iteration(op_plain, op_shifted, sigma, start, sign)
 
 
+class _TwoPolicyFactors:
+    """The shifted operator of one inverse iteration, remembering the
+    ``Linearization`` of its last two policies with the factor each holds.
+
+    Every inner solve starts at u = 0, whose policy differs from the
+    converged one, so a single remembered policy would refactor both on
+    every step. ``linearize`` still asks the wrapped operator for the
+    policy; it returns the remembered linearization whenever that policy
+    is one of the two, and the same policy gives the same matrix.
+    """
+
+    def __init__(self, op):
+        self.op = op
+        self.grid = op.grid
+        self._lins: dict[bytes, Linearization] = {}
+
+    def apply_flat(self, flat: np.ndarray) -> np.ndarray:
+        return self.op.apply_flat(flat)
+
+    def linearize(self, u: GridFunction | np.ndarray) -> Linearization:
+        lin = self.op.linearize(u)
+        key = lin.active.tobytes()
+        lin = self._lins.pop(key, lin)
+        self._lins[key] = lin
+        if len(self._lins) > 2:
+            del self._lins[next(iter(self._lins))]
+        return lin
+
+    def matrix_scale(self) -> float:
+        return self.op.matrix_scale()
+
+
 def _inverse_iteration(op_plain, op_shifted, sigma: float, u: GridFunction,
                        sign: str) -> EigenPair:
     """Shifted inverse power iteration from the start ``u`` until both the
-    eigenvalue and the residual settle; every failure raises."""
+    eigenvalue and the residual settle; every failure raises. The factors
+    of the shifted operator's last two policies live as long as the call."""
+    op_shifted = _TwoPolicyFactors(op_shifted)
     lam = np.inf
     for it in range(1, _MAX_ITERS + 1):
         w, rep = solve(op_shifted, -u)
@@ -81,11 +118,16 @@ def _inverse_iteration(op_plain, op_shifted, sigma: float, u: GridFunction,
                 f"iterate lost its sign at iteration {it}; shift inadmissible")
         nrm = sup_norm(w)
         lam_new = 1.0 / nrm - sigma
-        u = w * (1.0 / nrm)
-        resid = float(np.abs(op_plain.apply_flat(u.values) + lam_new * u.values).max())
+        u_new = w * (1.0 / nrm)
+        resid = float(np.abs(op_plain.apply_flat(u_new.values) + lam_new * u_new.values).max())
         if abs(lam_new - lam) <= _TOL and resid <= _RESIDUAL_TOL:
-            return EigenPair(sign, lam_new, u, resid, it)
-        lam = lam_new
+            return EigenPair(sign, lam_new, u_new, resid, it)
+        if lam_new == lam and np.array_equal(u_new.values, u.values):
+            # the step reproduced its input, so every later step repeats it
+            raise EigenIterationError(
+                f"inverse iteration did not converge: iteration {it} repeats the one "
+                f"before, with residual {resid:.3g} above {_RESIDUAL_TOL:g}")
+        lam, u = lam_new, u_new
     raise EigenIterationError(
         f"inverse iteration did not converge in {_MAX_ITERS} iterations")
 

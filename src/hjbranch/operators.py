@@ -336,6 +336,7 @@ class DiscreteOperator:
     _stencil: _Stencil = field(init=False, default=None, repr=False, compare=False)
     # (active.tobytes(), Linearization) of the last linearize call
     _last: tuple = field(init=False, default=(None, None), repr=False, compare=False)
+    _scale: float = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family.dim != self.grid.dim:
@@ -351,13 +352,15 @@ class DiscreteOperator:
                     f"stencil not monotone: min(lam/h^2)={min(env.lam_ell / h**2):.3g} "
                     f"< gamma/(2 min h)={env.gamma / (2 * h.min()):.3g}"
                 )
-            scale = self.matrix_scale()
+            scale = float(np.sum(4.0 * env.Lam_ell / h**2 + 2.0 * env.gamma / h)
+                          + env.delta + abs(self.shift))
         # every stencil weight and diagonal entry is at most the matrix scale
         # in size, so a finite scale keeps them all finite
         if not np.isfinite(scale):
             raise ConfigurationError(
                 "coefficients too large for this grid: the stencil weights, diagonal "
                 "or matrix scale overflow")
+        object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_stencil", _Stencil(self.family, self.grid, self.shift))
 
     # -- evaluation ----------------------------------------------------
@@ -416,10 +419,9 @@ class DiscreteOperator:
         return lin
 
     def matrix_scale(self) -> float:
-        """Rough inf-norm of any linearization, for conditioning-aware tolerances."""
-        env = self.family.envelope
-        h = np.array(self.grid.h)
-        return float(np.sum(4.0 * env.Lam_ell / h**2 + 2.0 * env.gamma / h) + env.delta + abs(self.shift))
+        """Rough inf-norm of any linearization, for conditioning-aware
+        tolerances; computed once at construction."""
+        return self._scale
 
 
 class MirroredOperator:

@@ -39,6 +39,13 @@ def test_config_validation(grid199):
         BranchConfig(fam, grid199, "at_lam_middle", (0.0, 1.0))
 
 
+@pytest.mark.parametrize("levels", [0, -1])
+def test_resonance_levels_below_one_refused(grid199, levels):
+    with pytest.raises(ConfigurationError, match="resonance_levels"):
+        BranchConfig(ControlFamily.fucik(5.0), grid199, "at_lam_minus", (0.0, 1.0),
+                     resonance_levels=levels)
+
+
 def test_h_fun_multiple_of_eigenfunction_rejected(grid199, sine):
     cfg = BranchConfig(ControlFamily.fucik(5.0), grid199, 0.0, (-1.0, 1.0),
                        h_fun=sine * 2.0)

@@ -199,6 +199,29 @@ def test_tstar_needs_lam_at_an_eigenvalue(tmp_path, capsys, name, lam):
     assert not (out / "tstar.json").exists()
 
 
+def test_branch_above_negative_window_exits_2_before_any_sweep(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli.br, "sweep_negative_regime", no_sweep)
+    data = json.loads((SCENARIOS / "fucik_subcritical.json").read_text())
+    data["lam"] = 20.0  # lam_1^- = 9.87, window (9.87, 10.36]
+    out = tmp_path / "br"
+    code = cli.main(["branch", write_scenario(tmp_path, data), "--out", str(out)])
+    assert code == cli.EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith("error: lam: ")
+    assert not (out / "summary.json").exists()
+
+
+def test_branch_inside_negative_window_sweeps(tmp_path):
+    data = json.loads((SCENARIOS / "fucik_subcritical.json").read_text())
+    data["grid"]["n"] = [49]
+    data["lam"] = {"mode": "at_lam_minus", "offset": 0.3}
+    out = tmp_path / "br"
+    assert cli.main(["branch", write_scenario(tmp_path, data), "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["regime"] == "negative"
+
+
 def test_tstar_on_shipped_resonance_scenario(tmp_path):
     out = tmp_path / "ts"
     assert cli.main(["tstar", str(SCENARIOS / "resonance_minus.json"), "--out", str(out)]) == 0

@@ -135,6 +135,23 @@ def test_simplicity_probe_unconverged_start_raises(grid199, monkeypatch):
         simplicity_probe(ControlFamily.fucik(5.0), grid199, n_starts=2)
 
 
+def test_slow_anisotropic_problem_converges_past_500_steps():
+    # the gap lam_2 - lam_1 is small against lam_1 + sigma: rate 0.964 per step
+    family = ControlFamily.finite_sup([(np.diag([0.5, 3.0]), [1.0, 0.0], 0.0)])
+    grid = build_grid(2, ((0.0, 2.0), (0.0, 0.5)), (5, 3))
+    pair = principal_eigen(family, grid, "-")
+    assert pair.iters > 500
+    assert mirrored_plus_eigen(family, grid).lam == pair.lam
+
+
+def test_repeated_iterate_raises_at_once(grid199, monkeypatch):
+    # below the rounding floor the iteration reaches an exact fixed point
+    monkeypatch.setattr(hjbranch.eigen, "_RESIDUAL_TOL", 0.0)
+    with pytest.raises(EigenIterationError,
+                       match=r"did not converge: iteration \d+ repeats the one before"):
+        principal_eigen(ControlFamily.laplacian(), grid199, "+")
+
+
 def test_hopf_boundary_positivity(grid199):
     ep = principal_eigen(ControlFamily.fucik(5.0), grid199, "+")
     h = grid199.h[0]
@@ -160,3 +177,88 @@ def test_proper_shift_is_proper(grid199):
 def test_mirror_identity_on_random_problems(problem):
     family, grid = problem
     assert mirrored_plus_eigen(family, grid).lam == principal_eigen(family, grid, "-").lam
+
+
+GRID15 = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (15, 15))
+two_policy_cases = pytest.mark.parametrize("family, sign", [
+    (ControlFamily.fucik(26.0, 0.0, dim=2), "-"),
+    (ControlFamily.pucci_plus(1.0, 2.0, dim=2), "+"),
+], ids=["fucik_minus", "pucci_plus"])
+
+
+@two_policy_cases
+def test_principal_eigen_factors_two_policies_once(family, sign, monkeypatch):
+    import scipy.sparse.linalg
+
+    splu = scipy.sparse.linalg.splu
+    factorizations = [0]
+
+    def counting_splu(A, *args, **kwargs):
+        factorizations[0] += 1
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    pair = principal_eigen(family, GRID15, sign)
+    # the policy at u = 0 and the converged one; one slot refactors both
+    # on every inverse step (2 * pair.iters)
+    assert pair.iters > 10
+    assert factorizations[0] <= 2
+
+
+@two_policy_cases
+def test_principal_eigen_with_remembered_factors_matches_fresh_factors(family, sign, monkeypatch):
+    import scipy.sparse.linalg
+    from hjbranch.operators import DiscreteOperator
+
+    shipped = principal_eigen(family, GRID15, sign)
+
+    # no memory, every linearization built anew, every solve on factors made for it
+    linearize, splu = DiscreteOperator.linearize, scipy.sparse.linalg.splu
+
+    def forgetful_linearize(op, u):
+        object.__setattr__(op, "_last", (None, None))
+        return linearize(op, u)
+
+    class FreshFactors:
+        def __init__(self, A):
+            self.A = A.copy()
+
+        def solve(self, rhs):
+            return splu(self.A).solve(rhs)
+
+    monkeypatch.setattr(hjbranch.eigen, "_TwoPolicyFactors", lambda op: op)
+    monkeypatch.setattr(DiscreteOperator, "linearize", forgetful_linearize)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", FreshFactors)
+    fresh = principal_eigen(family, GRID15, sign)
+
+    assert shipped.lam == fresh.lam
+    assert np.array_equal(shipped.phi.values, fresh.phi.values)
+    assert shipped.iters == fresh.iters
+    assert shipped.residual == fresh.residual
+
+
+@two_policy_cases
+def test_solve_through_factor_memory_linearizes_once_per_policy_iteration(family, sign,
+                                                                          monkeypatch):
+    from hjbranch.operators import DiscreteOperator
+
+    linearize, solve = DiscreteOperator.linearize, hjbranch.eigen.solve
+    calls, mismatches, solves = [0], [], [0]
+
+    def counting_linearize(op, u):
+        calls[0] += 1
+        return linearize(op, u)
+
+    def checking_solve(op, f, *args, **kwargs):
+        before = calls[0]
+        u, rep = solve(op, f, *args, **kwargs)
+        solves[0] += 1
+        if calls[0] - before != rep.iters:
+            mismatches.append((calls[0] - before, rep.iters))
+        return u, rep
+
+    monkeypatch.setattr(DiscreteOperator, "linearize", counting_linearize)
+    monkeypatch.setattr(hjbranch.eigen, "solve", checking_solve)
+    pair = principal_eigen(family, GRID15, sign)
+    assert solves[0] == pair.iters
+    assert mismatches == []
