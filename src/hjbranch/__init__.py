@@ -30,7 +30,6 @@ from .checks import CheckResult, CheckSpec, default_suite, emit_traceability, ru
 from .eigen import (
     EigenPair,
     eigen_bisect_crosscheck,
-    mirrored_plus_eigen,
     principal_eigen,
     simplicity_probe,
     subdomain_gap,
@@ -57,7 +56,6 @@ from .operators import (
     ControlFamily,
     DiscreteOperator,
     Envelope,
-    MirroredOperator,
     check_h0_h3,
 )
 
@@ -66,12 +64,12 @@ __all__ = [
     "AT_LAM_MINUS", "AT_LAM_PLUS", "Branch", "BranchConfig", "BranchPoint",
     "CheckResult", "CheckSpec", "ControlCoeffs", "ControlFamily",
     "CriticalReport", "DiscreteOperator", "EigenPair",
-    "Envelope", "Grid", "GridFunction", "MirroredOperator",
+    "Envelope", "Grid", "GridFunction",
     "SolveReport", "basin_census", "build_grid",
     "check_abp", "check_comparison", "check_h0_h3", "default_suite",
     "eigen_bisect_crosscheck", "eigen_bump", "emit_traceability",
     "half_domain_grid", "locate_tstar_resonance", "make_teo6_family",
-    "mirrored_plus_eigen", "prepare", "principal_eigen", "run_suite",
+    "prepare", "principal_eigen", "run_suite",
     "signed_distance", "simplicity_probe", "solve",
     "solve_with_starts", "subdomain_gap", "sup_norm", "sweep_negative_regime",
     "sweep_subcritical", "trace_fold", "trace_resonant_branch",

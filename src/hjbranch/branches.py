@@ -71,6 +71,7 @@ from .operators import ControlFamily, DiscreteOperator
 
 AT_LAM_PLUS = "at_lam_plus"
 AT_LAM_MINUS = "at_lam_minus"
+_N_RHS = 10  # seeded right-hand sides of the Teo6 uniqueness probe
 
 
 @dataclass
@@ -1100,7 +1101,7 @@ def make_teo6_family(grid: Grid) -> tuple[ControlFamily, float]:
 
 
 def uniqueness_probe_teo6(family: ControlFamily, grid: Grid, d0: float,
-                          n_rhs: int = 10, seed: int = 0) -> dict:
+                          seed: int = 0) -> dict:
     """Battery of right-hand sides x eight start basins; every converged
     basin per f must agree when both eigenvalues sit in (-d0, 0).
 
@@ -1131,7 +1132,7 @@ def uniqueness_probe_teo6(family: ControlFamily, grid: Grid, d0: float,
     coords = grid.coords()
     a0, b0 = grid.extents[0]
     xhat = (coords[:, 0] - a0) / (b0 - a0)
-    for j in range(n_rhs):
+    for _ in range(_N_RHS):
         t = float(rng.uniform(-3.0, 3.0))
         amps = rng.standard_normal(4)
         hv = sum(amps[m] * np.sin((m + 2) * np.pi * xhat) for m in range(4))

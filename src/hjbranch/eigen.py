@@ -8,7 +8,8 @@ sigma large enough that F_h - sigma is strictly proper, the problem
 preserves the sign cone of the start (comparison principle of the
 proper shifted operator), so a positive start converges to the positive
 principal pair and a negative start to the negative one. Each inner
-problem is uniquely solvable and handled by policy iteration.
+problem is uniquely solvable and handled by policy iteration. The
+negative pair is the positive pair of ``family.mirror()`` with phi negated.
 
 An independent cross-check locates the eigenvalue by bisection on a
 solvability/sign classification, which mirrors the variational
@@ -24,7 +25,7 @@ import numpy as np
 from .errors import BracketError, EigenIterationError, UsageError
 from .grids import Grid, GridFunction, eigen_bump, half_domain_grid, sup_norm
 from .howard import CONVERGED, solve
-from .operators import ControlFamily, DiscreteOperator, Linearization, MirroredOperator
+from .operators import ControlFamily, DiscreteOperator, Linearization
 
 
 _TOL = 1e-10  # eigenvalue change between steps
@@ -33,6 +34,7 @@ _RESIDUAL_TOL = 1e-9  # sup |F_h[phi] + lam*phi| at the normalized iterate
 # nears 1 when the gap is small against lam_1, as on anisotropic 2D grids:
 # a 5x3 grid on (0, 2)x(0, 0.5) needs 589 steps, extreme ones about 2,400
 _MAX_ITERS = 5000
+_N_STARTS = 5  # seeded positive starts of the simplicity probe
 
 
 def proper_shift(family: ControlFamily) -> float:
@@ -62,11 +64,8 @@ def principal_eigen(family: ControlFamily, grid: Grid, sign: str) -> EigenPair:
     """Compute (lam_1^+, phi_1^+) or (lam_1^-, phi_1^-) of the family on the grid."""
     if sign not in ("+", "-"):
         raise UsageError("sign must be '+' or '-'")
-    sigma = proper_shift(family)
-    op_plain = DiscreteOperator(family, grid, 0.0)
-    op_shifted = DiscreteOperator(family, grid, -sigma)
     start = grid.ones() if sign == "+" else -grid.ones()
-    return _inverse_iteration(op_plain, op_shifted, sigma, start, sign)
+    return _inverse_iteration(family, grid, start, sign)
 
 
 class _TwoPolicyFactors:
@@ -101,13 +100,15 @@ class _TwoPolicyFactors:
         return self.op.matrix_scale()
 
 
-def _inverse_iteration(op_plain, op_shifted, sigma: float, u: GridFunction,
+def _inverse_iteration(family: ControlFamily, grid: Grid, start: GridFunction,
                        sign: str) -> EigenPair:
-    """Shifted inverse power iteration from the start ``u`` until both the
+    """Shifted inverse power iteration from ``start`` until both the
     eigenvalue and the residual settle; every failure raises. The factors
     of the shifted operator's last two policies live as long as the call."""
-    op_shifted = _TwoPolicyFactors(op_shifted)
-    lam = np.inf
+    sigma = proper_shift(family)
+    op_plain = DiscreteOperator(family, grid, 0.0)
+    op_shifted = _TwoPolicyFactors(DiscreteOperator(family, grid, -sigma))
+    u, lam = start, np.inf
     for it in range(1, _MAX_ITERS + 1):
         w, rep = solve(op_shifted, -u)
         if rep.status != CONVERGED:
@@ -130,18 +131,6 @@ def _inverse_iteration(op_plain, op_shifted, sigma: float, u: GridFunction,
         lam, u = lam_new, u_new
     raise EigenIterationError(
         f"inverse iteration did not converge in {_MAX_ITERS} iterations")
-
-
-def mirrored_plus_eigen(family: ControlFamily, grid: Grid) -> EigenPair:
-    """Positive-start iteration on the mirrored operator G[u] = -F[-u].
-
-    Characterizes the same value as the negative principal eigenvalue of
-    F; kept as an independent oracle for the mirror identity.
-    """
-    sigma = proper_shift(family)
-    op_plain = MirroredOperator(DiscreteOperator(family, grid, 0.0))
-    op_shifted = MirroredOperator(DiscreteOperator(family, grid, -sigma))
-    return _inverse_iteration(op_plain, op_shifted, sigma, grid.ones(), "+")
 
 
 def eigen_bisect_crosscheck(family: ControlFamily, grid: Grid, sign: str,
@@ -199,25 +188,21 @@ def subdomain_gap(family: ControlFamily, grid: Grid) -> tuple[float, float]:
     return full.lam, sub.lam
 
 
-def simplicity_probe(family: ControlFamily, grid: Grid, n_starts: int = 5,
-                     seed: int = 0) -> dict:
-    """Run inverse iteration from distinct seeded positive starts and
-    measure the spread of the limits (discrete simplicity evidence); the
-    probe passes when the spread is at most 1e-6. A start that does not
-    converge raises ``EigenIterationError``."""
+def simplicity_probe(family: ControlFamily, grid: Grid, seed: int = 0) -> dict:
+    """Run inverse iteration from ``_N_STARTS`` distinct seeded positive
+    starts and measure the spread of the limits (discrete simplicity
+    evidence); the probe passes when the spread is at most 1e-6. A start
+    that does not converge raises ``EigenIterationError``."""
     tol = 1e-6
     rng = np.random.default_rng(seed)
-    sigma = proper_shift(family)
-    op_plain = DiscreteOperator(family, grid, 0.0)
-    op_shifted = DiscreteOperator(family, grid, -sigma)
     limits = []
     iters = []
-    for _ in range(n_starts):
+    for _ in range(_N_STARTS):
         vals = 0.1 + rng.random(grid.num_nodes)
         u = GridFunction(grid, vals / vals.max(), check_finite=False)
-        pair = _inverse_iteration(op_plain, op_shifted, sigma, u, "+")
+        pair = _inverse_iteration(family, grid, u, "+")
         limits.append(pair.phi)
         iters.append(pair.iters)
     spread = max(sup_norm(a - b) for a in limits for b in limits)
     return {"spread": spread, "tol": tol, "passed": spread <= tol,
-            "n_starts": n_starts, "iters": iters}
+            "n_starts": _N_STARTS, "iters": iters}

@@ -1,7 +1,10 @@
 """Monotone finite-difference discretization of sup-type elliptic operators.
 
 The operator family is F[u] = sup_a { tr(A_a D2u) + b_a . Du + c_a u }
-over a finite control list. Three kinds are built as such lists:
+over a finite control list, or the inf over it when the family's
+``is_convex`` is false. ``ControlFamily.mirror`` flips that orientation,
+giving the mirror G[u] = -F[-u]; algebraic checks run in the orientation
+of the family (sub- vs super-additivity). Three kinds are built as lists:
 
 * ``pucci_plus`` / ``pucci_minus``: the extremal operators over the
   ellipticity class [lam, Lam], as the sup (resp. inf) over the 2^dim
@@ -18,16 +21,12 @@ differences, so every control's stencil has nonnegative off-diagonal
 weights and the scheme is monotone. A CFL-type admissibility bound is
 still enforced at construction so that inadmissible configurations fail
 loudly instead of losing comparison.
-
-``pucci_minus`` is the one inf-type (concave) kind; it is provided as
-the envelope/mirror tool. Algebraic checks run in the orientation that
-matches the kind (sub- vs super-additivity).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -42,8 +41,7 @@ from .errors import (
 )
 from .grids import Grid, GridFunction
 
-CONVEX_KINDS = ("linear", "finite_sup", "fucik", "pucci_plus")
-ALL_KINDS = CONVEX_KINDS + ("pucci_minus",)
+KINDS = ("linear", "finite_sup", "fucik", "pucci_plus", "pucci_minus")
 
 
 @dataclass(frozen=True)
@@ -102,16 +100,17 @@ class ControlCoeffs:
 
 @dataclass(frozen=True)
 class ControlFamily:
-    """A sup-type operator family over a finite control list; the
-    ``pucci_minus`` kind is the inf over its controls instead."""
+    """The sup over a finite control list, or the inf when ``is_convex``
+    is false: ``kind`` names the control list, ``is_convex`` the orientation."""
 
     kind: str
     controls: tuple[ControlCoeffs, ...]
     envelope: Envelope
     dim: int
+    is_convex: bool = True
 
     def __post_init__(self):
-        if self.kind not in ALL_KINDS:
+        if self.kind not in KINDS:
             raise ConfigurationError(f"unknown family kind {self.kind!r}")
         if not self.controls:
             raise ConfigurationError("control list must be nonempty")
@@ -175,7 +174,7 @@ class ControlFamily:
     def pucci_minus(cls, lam_ell: float, Lam_ell: float, dim: int = 1) -> "ControlFamily":
         """M- over [lam_ell, Lam_ell]: the inf over the diagonal controls."""
         env = Envelope(float(lam_ell), float(Lam_ell), 0.0, 0.0)
-        return cls._diagonal("pucci_minus", env, (env.lam_ell, env.Lam_ell), dim)
+        return cls._diagonal("pucci_minus", env, (env.lam_ell, env.Lam_ell), dim).mirror()
 
     @classmethod
     def _diagonal(cls, kind: str, env: Envelope, weights: tuple[float, float],
@@ -195,11 +194,9 @@ class ControlFamily:
         delta = max(abs(c.zeroth) for c in ctrls)
         return Envelope(float(diags.min()), float(diags.max()), gamma, delta)
 
-    # -- properties ----------------------------------------------------
-
-    @property
-    def is_convex(self) -> bool:
-        return self.kind != "pucci_minus"
+    def mirror(self) -> "ControlFamily":
+        """The mirror G[u] = -F[-u]: the same controls, the other orientation."""
+        return replace(self, is_convex=not self.is_convex)
 
     @property
     def max_zeroth(self) -> float:
@@ -235,14 +232,11 @@ class _Stencil:
     coefficient (m,); from those the frozen-control weights, per axis the
     links up (to k+s) and low (to k-s) and the diagonal including the
     shift. Per axis with stride s: the gate of length N - s marking the
-    linked pairs (k, k+s), i.e. both nodes on one grid line. ``convex``
-    is the orientation: the operator is the max over the controls, or for
-    an inf-type family the min.
+    linked pairs (k, k+s), i.e. both nodes on one grid line.
     """
 
     def __init__(self, family: ControlFamily, grid: Grid, shift: float):
         m, dim = len(family.controls), grid.dim
-        self.convex = family.is_convex
         self.diffusion = np.array([c.diag_diffusion() for c in family.controls]).reshape(m, dim)
         drift = np.array([c.drift for c in family.controls]).reshape(m, dim)
         self.b_plus = np.maximum(drift, 0.0)
@@ -384,7 +378,7 @@ class DiscreteOperator:
     def apply_flat(self, flat: np.ndarray) -> np.ndarray:
         flat = np.asarray(flat, dtype=float)
         vals = self._control_values(flat)
-        best = vals.max(axis=0) if self._stencil.convex else vals.min(axis=0)
+        best = vals.max(axis=0) if self.family.is_convex else vals.min(axis=0)
         return best + self.shift * flat
 
     def apply(self, u: GridFunction) -> GridFunction:
@@ -407,7 +401,7 @@ class DiscreteOperator:
         flat = u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float)
         st = self._stencil
         vals = self._control_values(flat)
-        active = np.argmax(vals, axis=0) if st.convex else np.argmin(vals, axis=0)
+        active = np.argmax(vals, axis=0) if self.family.is_convex else np.argmin(vals, axis=0)
         key = active.tobytes()
         last_key, lin = self._last
         if last_key == key:
@@ -422,35 +416,6 @@ class DiscreteOperator:
         """Rough inf-norm of any linearization, for conditioning-aware
         tolerances; computed once at construction."""
         return self._scale
-
-
-class MirroredOperator:
-    """G + shift with G[u] = -F[-u]; shares grid and solve machinery.
-
-    The mirrored operator of a sup family is the corresponding inf
-    family; its positive principal eigenpair coincides with the negative
-    one of the original operator. Used as an independent test oracle.
-    """
-
-    def __init__(self, inner: DiscreteOperator):
-        self.inner = inner
-        self.family = inner.family
-        self.grid = inner.grid
-        self.shift = inner.shift
-
-    def apply_flat(self, flat: np.ndarray) -> np.ndarray:
-        # -(F + s)(-u) = -F(-u) + s*u: the shift mirrors onto itself.
-        return -self.inner.apply_flat(-np.asarray(flat, dtype=float))
-
-    def apply(self, u: GridFunction) -> GridFunction:
-        return GridFunction(self.grid, self.apply_flat(u.values), check_finite=False)
-
-    def linearize(self, u: GridFunction | np.ndarray) -> Linearization:
-        flat = u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float)
-        return self.inner.linearize(-flat)
-
-    def matrix_scale(self) -> float:
-        return self.inner.matrix_scale()
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +478,9 @@ def check_h0_h3(op: DiscreteOperator, trials: int = 100, seed: int = 0) -> Prope
     inequality and the extremal-envelope sandwich on seeded random pairs,
     each to a scaled tolerance of 1e-10.
 
-    Convex kinds are checked as sup-forms; the inf-type ``pucci_minus``
-    is checked with the mirrored (super-additive) orientation.
+    Sup-type families are checked as sup-forms; an inf-type family, such
+    as ``pucci_minus`` or any ``mirror()``, is checked in the mirrored
+    (super-additive) orientation.
     """
     if trials < 1:
         raise UsageError("trials must be >= 1")

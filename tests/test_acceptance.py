@@ -26,7 +26,7 @@ from hjbranch.branches import (
     uniqueness_probe_at,
     uniqueness_probe_teo6,
 )
-from hjbranch.eigen import eigen_bisect_crosscheck, mirrored_plus_eigen, principal_eigen
+from hjbranch.eigen import eigen_bisect_crosscheck, principal_eigen
 from hjbranch.grids import GridFunction, build_grid, sup_norm
 from hjbranch.howard import basin_census, solve_with_starts
 from hjbranch.operators import ControlFamily, DiscreteOperator, check_h0_h3
@@ -97,10 +97,12 @@ def test_criterion_04_cross_method_agreement(grid199, laplacian, lam_h199):
     assert worst <= 1e-7
     worst_mirror = 0.0
     for fam in (ControlFamily.fucik(5.0), ControlFamily.pucci_plus(1.0, 2.0)):
-        direct = principal_eigen(fam, grid199, "-").lam
-        mirrored = mirrored_plus_eigen(fam, grid199).lam
-        worst_mirror = max(worst_mirror, abs(direct - mirrored))
-    assert worst_mirror <= 1e-9
+        direct = principal_eigen(fam, grid199, "-")
+        mirrored = principal_eigen(fam.mirror(), grid199, "+")
+        worst_mirror = max(worst_mirror, abs(direct.lam - mirrored.lam))
+        assert np.array_equal(mirrored.phi.values, -direct.phi.values)
+        assert mirrored.iters == direct.iters
+    assert worst_mirror == 0.0
     _report(4, f"bisect gap={worst:.2e}, mirror gap={worst_mirror:.2e}", started, 30.0)
 
 
@@ -216,7 +218,7 @@ def test_criterion_09_negative_regime_evidence(grid199, lam_h199):
 def test_criterion_10_uniqueness_when_both_negative(grid199):
     started = time.time()
     fam, d0 = make_teo6_family(grid199)
-    rep = uniqueness_probe_teo6(fam, grid199, n_rhs=10, seed=0, d0=d0)
+    rep = uniqueness_probe_teo6(fam, grid199, seed=0, d0=d0)
     assert -d0 <= rep["lam_plus"] <= rep["lam_minus"] < 0
     assert rep["all_unique"]
     seeded = [c for c in rep["cases"] if c["label"] == "seeded"]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import discrete_lam1
+import hjbranch.branches
 from hjbranch.errors import ConfigurationError, RegimeError
 from hjbranch.grids import GridFunction, build_grid, sup_norm
 from hjbranch.branches import (
@@ -263,8 +264,9 @@ def test_make_teo6_family(grid199, lam_h199):
 
 def test_uniqueness_probe_teo6(grid199):
     fam, d0 = make_teo6_family(grid199)
-    rep = uniqueness_probe_teo6(fam, grid199, n_rhs=4, seed=5, d0=d0)
+    rep = uniqueness_probe_teo6(fam, grid199, seed=5, d0=d0)
     assert -d0 <= rep["lam_plus"] <= rep["lam_minus"] < 0
+    assert [c["label"] for c in rep["cases"]].count("seeded") == hjbranch.branches._N_RHS
     assert rep["all_unique"]
     zero_case = [c for c in rep["cases"] if c["label"] == "zero"][0]
     assert zero_case["sup"] == 0.0
@@ -282,7 +284,7 @@ def test_uniqueness_probe_teo6_counts_zero_once_on_any_grid(n, seed):
     # within that guard are one solution, not several
     g = build_grid(1, (0.0, 1.0), n)
     fam, d0 = make_teo6_family(g)
-    rep = uniqueness_probe_teo6(fam, g, d0, n_rhs=10, seed=seed)
+    rep = uniqueness_probe_teo6(fam, g, d0, seed=seed)
     assert [c["n_solutions"] for c in rep["cases"]] == [1] * len(rep["cases"])
     assert rep["all_unique"]
 

@@ -7,7 +7,6 @@ from hjbranch.errors import BracketError, EigenIterationError
 import hjbranch.eigen
 from hjbranch.eigen import (
     eigen_bisect_crosscheck,
-    mirrored_plus_eigen,
     principal_eigen,
     proper_shift,
     simplicity_probe,
@@ -94,9 +93,10 @@ def test_bisect_rejects_bad_bracket(grid199, laplacian):
 def test_mirror_identity(grid199):
     for fam in (ControlFamily.fucik(5.0), ControlFamily.pucci_plus(1.0, 2.0)):
         em = principal_eigen(fam, grid199, "-")
-        mir = mirrored_plus_eigen(fam, grid199)
-        assert abs(mir.lam - em.lam) <= 1e-9
-        assert sup_norm(mir.phi + em.phi) <= 1e-8  # mirrored pair flips sign
+        mir = principal_eigen(fam.mirror(), grid199, "+")
+        assert mir.lam == em.lam
+        assert np.array_equal(mir.phi.values, -em.phi.values)  # mirrored pair flips sign
+        assert mir.iters == em.iters
 
 
 def test_subdomain_gap_laplacian(grid199, laplacian, lam_h199):
@@ -124,15 +124,17 @@ def test_scaling_covariance():
 
 
 def test_simplicity_probe(grid199):
-    probe = simplicity_probe(ControlFamily.fucik(5.0), grid199, n_starts=5, seed=3)
+    probe = simplicity_probe(ControlFamily.fucik(5.0), grid199, seed=3)
     assert probe["passed"]
+    assert probe["n_starts"] == len(probe["iters"]) == hjbranch.eigen._N_STARTS
     assert probe["spread"] <= 1e-6
 
 
 def test_simplicity_probe_unconverged_start_raises(grid199, monkeypatch):
     monkeypatch.setattr(hjbranch.eigen, "_MAX_ITERS", 3)
+    # the first of the _N_STARTS starts raises
     with pytest.raises(EigenIterationError, match="in 3 iterations"):
-        simplicity_probe(ControlFamily.fucik(5.0), grid199, n_starts=2)
+        simplicity_probe(ControlFamily.fucik(5.0), grid199)
 
 
 def test_slow_anisotropic_problem_converges_past_500_steps():
@@ -141,7 +143,7 @@ def test_slow_anisotropic_problem_converges_past_500_steps():
     grid = build_grid(2, ((0.0, 2.0), (0.0, 0.5)), (5, 3))
     pair = principal_eigen(family, grid, "-")
     assert pair.iters > 500
-    assert mirrored_plus_eigen(family, grid).lam == pair.lam
+    assert principal_eigen(family.mirror(), grid, "+").lam == pair.lam
 
 
 def test_repeated_iterate_raises_at_once(grid199, monkeypatch):
@@ -176,7 +178,8 @@ def test_proper_shift_is_proper(grid199):
 @given(small_problems())
 def test_mirror_identity_on_random_problems(problem):
     family, grid = problem
-    assert mirrored_plus_eigen(family, grid).lam == principal_eigen(family, grid, "-").lam
+    mirrored = principal_eigen(family.mirror(), grid, "+")
+    assert mirrored.lam == principal_eigen(family, grid, "-").lam
 
 
 GRID15 = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (15, 15))

@@ -4,14 +4,14 @@ import scipy.sparse.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import discrete_lam1
+from conftest import discrete_lam1, small_problems
+from hjbranch.eigen import principal_eigen
 from hjbranch.errors import AdmissibilityError, ConfigurationError
 from hjbranch.grids import Grid, GridFunction, build_grid, half_domain_grid, sup_norm
 from hjbranch.operators import (
     ControlCoeffs,
     ControlFamily,
     DiscreteOperator,
-    MirroredOperator,
     check_h0_h3,
     gradient_magnitude_flat,
     pucci_envelope_flat,
@@ -297,11 +297,42 @@ def test_pucci_plus_dominates_members(grid199):
 
 def test_mirror_of_pucci_plus_is_pucci_minus(grid199):
     rng = np.random.default_rng(6)
-    plus = DiscreteOperator(ControlFamily.pucci_plus(1.0, 2.0), grid199, 0.0)
-    minus = DiscreteOperator(ControlFamily.pucci_minus(1.0, 2.0), grid199, 0.0)
-    mir = MirroredOperator(plus)
+    plus = ControlFamily.pucci_plus(1.0, 2.0)
+    minus = ControlFamily.pucci_minus(1.0, 2.0)
+    mir = DiscreteOperator(plus.mirror(), grid199, 0.0)
     u = rng.standard_normal(grid199.num_nodes)
-    assert np.abs(mir.apply_flat(u) - minus.apply_flat(u)).max() <= 1e-10
+    # the min over the same control values, whatever their order
+    assert np.array_equal(mir.apply_flat(u), DiscreteOperator(minus, grid199, 0.0).apply_flat(u))
+    # the two control orders break ties differently, so the pairs agree to rounding
+    lam_mir = principal_eigen(plus.mirror(), grid199, "+").lam
+    assert abs(lam_mir - principal_eigen(minus, grid199, "+").lam) <= 1e-9 * lam_mir
+
+
+def test_mirror_flips_orientation_only():
+    for fam in (*FAMILIES.values(), *FAMILIES_2D.values()):
+        mir = fam.mirror()
+        assert mir.is_convex is not fam.is_convex
+        assert (mir.kind, mir.controls, mir.envelope) == (fam.kind, fam.controls, fam.envelope)
+        assert mir.mirror() == fam
+    # pucci_minus keeps its (lam, Lam) control order, which decides ties
+    flipped = ControlFamily.pucci_minus(1.0, 2.0).mirror()
+    assert flipped.is_convex and flipped.kind == "pucci_minus"
+    assert [c.diffusion[0][0] for c in flipped.controls] == [1.0, 2.0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_problems(), st.floats(-5.0, 5.0), st.integers(0, 2**32 - 1), st.booleans())
+def test_mirror_family_is_the_mirrored_operator(problem, shift, seed, integral):
+    # reference: the mirror G[u] = -F[-u] with the shift s carried through,
+    # -(F + s)[-u] = -F[-u] + s u; integer-valued u makes control ties common
+    family, grid = problem
+    rng = np.random.default_rng(seed)
+    u = rng.integers(-2, 3, grid.num_nodes).astype(float) if integral \
+        else rng.standard_normal(grid.num_nodes)
+    op = DiscreteOperator(family, grid, shift)
+    mir = DiscreteOperator(family.mirror(), grid, shift)
+    assert np.array_equal(mir.apply_flat(u), -op.apply_flat(-u))
+    assert np.array_equal(mir.linearize(u).active, op.linearize(-u).active)
 
 
 def test_2d_mixed_diffusion_rejected():

@@ -1,0 +1,68 @@
+"""Print the numeric-payload digest of every benchmark op, one line per op:
+
+    workload index label ok digest
+
+    python3 tools/op_digests.py [--checkout DIR] --seed N [--smoke]
+
+``hjbranch`` is imported from ``DIR/src`` (default: the checkout holding this
+script); the workloads, their gates and digests come from the ``perfbench``
+next to this script, so one workload definition hashes both sides of a
+comparison. Two checkouts give byte-identical payloads when the outputs of
+``--checkout A`` and ``--checkout B`` are identical (``diff``). ``ok`` is
+``ok`` or ``FAIL`` from the op's gate (the recorded fine-grid probe of
+``cli1d`` reads ``FAIL``), or ``raised`` with the digest of the exception.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+WORKLOADS = ("fold2d", "tstar2d", "cli1d")
+
+
+def op_lines(workload: str, seed: int, smoke: bool, workdir: Path) -> list[str]:
+    import workloads
+
+    wl = workloads.make(workload, seed, smoke)
+    workloads.build(wl, workdir / "build")
+    lines = []
+    for i, op in enumerate(wl.ops):
+        out = workdir / f"{i:02d}"
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                result = op.run(out)
+            ok, _ = op.gate(result, out)
+            status, digest = "ok" if ok else "FAIL", op.digest(result, out)
+        except Exception as exc:  # a raising op is one line, not the end of the run
+            status = "raised"
+            digest = hashlib.sha256(f"{type(exc).__name__}: {exc}".encode()).hexdigest()
+        lines.append(f"{workload} {i} {op.label} {status} {digest}")
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--checkout", type=Path, default=HERE)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--smoke", action="store_true")
+    args = parser.parse_args(argv)
+    src = args.checkout.resolve() / "src"
+    if not (src / "hjbranch" / "__init__.py").is_file():
+        parser.error(f"no package source at {src}/hjbranch")
+    sys.path[:0] = [str(src), str(HERE / "perfbench")]
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in WORKLOADS:
+            for line in op_lines(name, args.seed, args.smoke, Path(tmp) / name):
+                print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
