@@ -278,12 +278,12 @@ def _sweep(ctx: BranchContext, op: DiscreteOperator, ts, fallback, what: str,
     residual check. A t where no start converges raises ``RegimeError``
     naming ``what``, or is dropped when ``skip_unsolved``."""
     points: list[BranchPoint] = []
-    u_prev: GridFunction | None = None
     for t in ts:
         t = float(t)
         f = ctx.rhs(t)
-        u, rep, _ = solve_with_starts(op, f, [u_prev] + fallback(t))
-        if u is None:
+        warm = [points[-1].u] if points else []
+        u, rep = solve_with_starts(op, f, warm + fallback(t))
+        if not rep.converged:
             if skip_unsolved:
                 continue
             raise RegimeError(f"{what} failed at t={t}: {rep.status}")
@@ -291,7 +291,6 @@ def _sweep(ctx: BranchContext, op: DiscreteOperator, ts, fallback, what: str,
         if resid > rep.tol:
             raise RegimeError(f"emitted point fails fresh residual check: {resid} > {rep.tol}")
         points.append(BranchPoint(t, u, 0.0, _tags(u), rep))
-        u_prev = u
     return points
 
 
@@ -401,7 +400,7 @@ def locate_tstar_resonance(cfg: BranchConfig, sign: str,
         blowup_norm = max(1e8, 1e4 * tau)
         solutions: list[tuple[float, GridFunction]] = []
 
-        def classify(t: float) -> tuple[bool, float, float, bool]:
+        def classify(t: float) -> tuple[bool, float, float]:
             f = ctx.rhs(t)
             starts: list[GridFunction | None] = []
             if solutions:
@@ -411,26 +410,16 @@ def locate_tstar_resonance(cfg: BranchConfig, sign: str,
             if sign == "-":
                 starts.append(phi_dir * (0.5 * tau))
                 starts.append(phi_dir * (2.0 * tau))
-            best = None
-            for s in starts:
-                u, rep = solve(op_k, f, u0=s, blowup_norm=blowup_norm)
-                if rep.converged:
-                    best = (u, rep, False)
-                    break
-                if rep.status == DIVERGED and best is None:
-                    best = (u, rep, True)
-            if best is None:
-                # no convergence, no clear blow-up: resonant side, flagged
-                return True, float("nan"), float("nan"), True
-            u, rep, diverged = best
+            u, rep = solve_with_starts(op_k, f, starts, blowup_norm)
+            diverged = rep.status == DIVERGED
+            if not (rep.converged or diverged):
+                # no convergence, no clear blow-up: counted on the resonant side
+                return True, float("nan"), float("nan")
             norm = sup_norm(u)
             cosine = direction_cosine(u, phi_dir)
             if rep.converged:
                 solutions.append((t, u))
-            blow = norm >= tau and cosine >= 0.99
-            if diverged:
-                blow = blow or cosine >= 0.99
-            return blow, norm, cosine, diverged
+            return cosine >= 0.99 and (diverged or norm >= tau), norm, cosine
 
         # the bracket re-centred on the last boundaries first, then t_range;
         # each endpoint is classified once
@@ -440,7 +429,7 @@ def locate_tstar_resonance(cfg: BranchConfig, sign: str,
             brackets.insert(0, (max(t_lo0, boundaries[-1] - span),
                                 min(t_hi0, boundaries[-1] + span)))
         for lo, hi in brackets:
-            blow_lo, norm_lo, cos_lo, _ = classify(lo)
+            blow_lo, norm_lo, cos_lo = classify(lo)
             blow_hi = classify(hi)[0]
             if blow_lo and not blow_hi:
                 break
@@ -455,7 +444,7 @@ def locate_tstar_resonance(cfg: BranchConfig, sign: str,
             if hi - lo <= width_target:
                 break
             mid = 0.5 * (lo + hi)
-            blow, norm, cosine, _ = classify(mid)
+            blow, norm, cosine = classify(mid)
             if blow:
                 lo = mid
                 last_blow = (mid, norm, cosine)
@@ -674,8 +663,8 @@ def _negative_subsolution(ctx: BranchContext, op: DiscreteOperator, t: float
     rhs = ctx.eig_plus.phi * max(t, 1.0) + GridFunction(
         ctx.grid, np.maximum(ctx.h.values, 0.0), check_finite=False)
     starts = [eigen_bump(ctx.grid) * (-s) for s in (1.0, 10.0, 100.0)]
-    v, rep, _ = solve_with_starts(op, rhs, starts)
-    if v is None or v.max() > 1e-12 * (1.0 + sup_norm(v)):
+    v, rep = solve_with_starts(op, rhs, starts)
+    if not rep.converged or v.max() > 1e-12 * (1.0 + sup_norm(v)):
         raise FoldTraceError(f"could not construct the negative barrier at t={t}")
     f = ctx.rhs(t)
     k = 2.0
@@ -1051,15 +1040,7 @@ def sweep_negative_regime(cfg: BranchConfig, ctx: BranchContext | None = None) -
     mid_idx = min(range(len(points)), key=lambda i: abs(points[i].t - points[-1].t / 2.0))
     sup_mid = points[mid_idx].u.max()
 
-    # antimaximum: forcing -k*phi^+ must produce strictly negative solutions
-    antimax = {}
-    for k in (0.5, 1.0, 2.0):
-        f = ctx.eig_plus.phi * (-k)
-        u, rep, _ = solve_with_starts(op, f, [ctx.grid.zeros(),
-                                              ctx.eig_plus.phi * (-k / max(gap, 1e-3)),
-                                              ctx.eig_plus.phi * (-1.0)])
-        antimax[k] = {"converged": u is not None,
-                      "max": u.max() if u is not None else float("nan")}
+    antimax = antimaximum_probe(op, phi, gap)
     diagnostics = {
         "t_minus_probe": t_minus_probe,
         "sup_top": sup_top,
@@ -1074,11 +1055,24 @@ def sweep_negative_regime(cfg: BranchConfig, ctx: BranchContext | None = None) -
         raise RegimeError("very negative t did not produce a negative solution")
     if cfg.t_range[1] >= 10.0 * h_scale and not (sup_top > sup_mid > 0):
         raise RegimeError("sup u growth probe failed for large t")
-    bad = [k for k, st in antimax.items()
-           if not st["converged"] or not st["max"] < 0]
+    bad = [k for k, st in antimax.items() if not st["max"] < 0]  # NaN fails too
     if bad:
         raise RegimeError(f"antimaximum check failed for k={bad}")
     return Branch(points, ref, lam, diagnostics)
+
+
+def antimaximum_probe(op: DiscreteOperator, phi: GridFunction, gap: float) -> dict:
+    """Antimaximum probe at lam = lam_1^- + gap: the forcing -k*phi, phi > 0,
+    must produce strictly negative solutions. Returns {k: {"converged",
+    "max"}} for k in (0.5, 1, 2); "max" is NaN where no start converged."""
+    antimax = {}
+    for k in (0.5, 1.0, 2.0):
+        u, rep = solve_with_starts(op, phi * (-k), [op.grid.zeros(),
+                                                    phi * (-k / max(gap, 1e-3)),
+                                                    phi * (-1.0)])
+        antimax[k] = {"converged": rep.converged,
+                      "max": u.max() if rep.converged else float("nan")}
+    return antimax
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from .errors import (
     HJBError,
 )
 from .grids import Grid, GridFunction, build_grid
-from .howard import solve, solve_with_starts
+from .howard import solve_with_starts
 from .operators import ControlFamily, DiscreteOperator
 
 EXIT_OK = 0
@@ -356,11 +356,7 @@ def _cmd_solve(sc: Scenario, out: Path) -> int:
     op = ctx.operator()
     t = sc.data["solve_t"]
     f = ctx.rhs(t)
-    u, rep = solve(op, f)
-    if not rep.converged:
-        u2, rep2, _ = solve_with_starts(op, f, ctx.ladder(1.0 + abs(t)))
-        if u2 is not None:
-            u, rep = u2, rep2
+    u, rep = solve_with_starts(op, f, ctx.ladder(1.0 + abs(t)))
     write_grid_function(out / "solution.csv", u)
     write_jsonl(out / "trace.jsonl", [rep.as_dict()])
     write_json(out / "summary.json", {

@@ -38,9 +38,12 @@ _N_STARTS = 5  # seeded positive starts of the simplicity probe
 
 
 def proper_shift(family: ControlFamily) -> float:
-    """Shift sigma = delta + 1 that makes F_h - sigma strictly proper
-    (zeroth-order total <= -1 for every control)."""
-    return family.envelope.delta + 1.0
+    """Shift sigma > delta + 1 that makes F_h - sigma strictly proper
+    (zeroth-order total <= -1 for every control). It is delta + 1 for
+    delta <= 2^20; above that the margin grows with delta, so rounding
+    cannot absorb it (delta + 1 == delta from delta ~ 2^53)."""
+    delta = family.envelope.delta
+    return delta + max(1.0, delta * 2.0**-20)
 
 
 @dataclass

@@ -174,43 +174,47 @@ def solve(op, f: GridFunction, u0: GridFunction | None = None,
     return out, report
 
 
-def solve_with_starts(op, f: GridFunction, starts):
-    """Try a ladder of initial guesses; return (u, report, index) of the first
-    converged start, or (None, last_report, -1) if none converged."""
-    last = None
-    for idx, u0 in enumerate(starts):
-        u, rep = solve(op, f, u0=u0)
+def solve_with_starts(op, f: GridFunction, starts, blowup_norm: float = BLOWUP_NORM
+                      ) -> tuple[GridFunction, SolveReport]:
+    """Solve from each start in turn and stop at the first that converges.
+
+    Returns that result; if none converges, the first ``Diverged`` one,
+    and if none diverged, the result of the first start. A ``None`` start
+    is the zero start of ``solve``."""
+    fallback = None
+    for u0 in starts:
+        u, rep = solve(op, f, u0=u0, blowup_norm=blowup_norm)
         if rep.converged:
-            return u, rep, idx
-        last = rep
-    return None, last, -1
+            return u, rep
+        if fallback is None or (rep.status == DIVERGED and fallback[1].status != DIVERGED):
+            fallback = (u, rep)
+    if fallback is None:
+        raise UsageError("solve_with_starts needs at least one start")
+    return fallback
 
 
 def basin_census(op, f: GridFunction, starts, distinct_gap: float | None = None):
     """Solve from every start and cluster the converged results.
 
-    Returns a list of (representative u, multiplicity, start indices),
-    where two solutions are identified when their sup distance is below
+    Returns a list of (representative u, multiplicity), where two
+    solutions are identified when their sup distance is below
     ``distinct_gap`` (default 10x the resolved tolerance).
     """
     gap = distinct_gap
     if gap is None:
         gap = 10.0 * resolve_tol(sup_norm(f))
     clusters: list[list] = []
-    for idx, u0 in enumerate(starts):
+    for u0 in starts:
         u, rep = solve(op, f, u0=u0)
         if not rep.converged:
             continue
-        placed = False
         for entry in clusters:
             if sup_norm(u - entry[0]) <= gap:
                 entry[1] += 1
-                entry[2].append(idx)
-                placed = True
                 break
-        if not placed:
-            clusters.append([u, 1, [idx]])
-    return [(u, count, tuple(idxs)) for u, count, idxs in clusters]
+        else:
+            clusters.append([u, 1])
+    return [(u, count) for u, count in clusters]
 
 
 @dataclass

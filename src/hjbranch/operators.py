@@ -423,14 +423,6 @@ class DiscreteOperator:
 # ---------------------------------------------------------------------------
 
 
-def pucci_envelope_flat(op: DiscreteOperator, flat: np.ndarray, side: str) -> np.ndarray:
-    """Extremal envelope M+/- of the family's (lam, Lam) bounds, same stencil."""
-    env = op.family.envelope
-    make = ControlFamily.pucci_plus if side == "+" else ControlFamily.pucci_minus
-    fam = make(env.lam_ell, env.Lam_ell, op.grid.dim)
-    return DiscreteOperator(fam, op.grid, 0.0).apply_flat(flat)
-
-
 def gradient_magnitude_flat(grid: Grid, flat: np.ndarray) -> np.ndarray:
     """Discrete |Du|: per axis the larger of |forward|, |backward| difference,
     combined in the Euclidean norm. Chosen so that the Lipschitz sandwich
@@ -488,6 +480,10 @@ def check_h0_h3(op: DiscreteOperator, trials: int = 100, seed: int = 0) -> Prope
     N = op.grid.num_nodes
     env = op.family.envelope
     convex = op.family.is_convex
+    # extremal envelopes M+/- of the family's (lam, Lam) bounds, same stencil
+    bounds = (env.lam_ell, env.Lam_ell, op.grid.dim)
+    m_plus = DiscreteOperator(ControlFamily.pucci_plus(*bounds), op.grid, 0.0)
+    m_minus = DiscreteOperator(ControlFamily.pucci_minus(*bounds), op.grid, 0.0)
     worst = dict(h=0.0, a=0.0, m=0.0, s=0.0)
     for _ in range(trials):
         u = rng.standard_normal(N)
@@ -512,9 +508,9 @@ def check_h0_h3(op: DiscreteOperator, trials: int = 100, seed: int = 0) -> Prope
         worst["m"] = max(worst["m"], max(viol, 0.0))
         # envelope sandwich (holds for every uniformly elliptic kind)
         d = u - v
-        upper = pucci_envelope_flat(op, d, "+") + env.gamma * gradient_magnitude_flat(op.grid, d) \
+        upper = m_plus.apply_flat(d) + env.gamma * gradient_magnitude_flat(op.grid, d) \
             + env.delta * np.abs(d) + op.shift * d
-        lower = pucci_envelope_flat(op, d, "-") - env.gamma * gradient_magnitude_flat(op.grid, d) \
+        lower = m_minus.apply_flat(d) - env.gamma * gradient_magnitude_flat(op.grid, d) \
             - env.delta * np.abs(d) + op.shift * d
         viol = max(((Fu - Fv) - upper).max(), (lower - (Fu - Fv)).max()) / scale
         worst["s"] = max(worst["s"], max(viol, 0.0))

@@ -174,10 +174,10 @@ def test_criterion_08_antimaximum(grid199, lam_h199):
     worst = -np.inf
     for k in (0.5, 1.0, 2.0):
         f = plus.phi * (-k)
-        u, rep, _ = solve_with_starts(op, f, [grid199.zeros(),
-                                              plus.phi * (-10.0 * k),
-                                              plus.phi * (-1.0)])
-        assert u is not None
+        u, rep = solve_with_starts(op, f, [grid199.zeros(),
+                                           plus.phi * (-10.0 * k),
+                                           plus.phi * (-1.0)])
+        assert rep.converged
         assert u.max() < 0
         worst = max(worst, u.max())
     _report(8, f"u < 0 for k in {{0.5, 1, 2}}, worst max = {worst:.4f}",

@@ -375,10 +375,10 @@ def _never_converges_at(monkeypatch, bad_f):
             return f.grid.zeros(), SolveReport(MAX_ITERS, 0)
         return solve(op, f, *args, **kwargs)
 
-    def failing_starts(op, f, starts):
+    def failing_starts(op, f, *args, **kwargs):
         if np.array_equal(f.values, bad_f.values):
-            return None, SolveReport(MAX_ITERS, 0), -1
-        return solve_with_starts(op, f, starts)
+            return f.grid.zeros(), SolveReport(MAX_ITERS, 0)
+        return solve_with_starts(op, f, *args, **kwargs)
 
     monkeypatch.setattr(branches, "solve", failing_solve)
     monkeypatch.setattr(branches, "solve_with_starts", failing_starts)

@@ -100,6 +100,28 @@ def test_solve_command(tmp_path):
     assert trace["status"] == "Converged"
 
 
+def test_solve_tries_the_zero_start_once(tmp_path, monkeypatch):
+    """The ladder of ``solve`` begins with the zero start, so a zero start
+    that fails is not solved again before the rest of the ladder."""
+    import hjbranch.howard as howard
+
+    zero_starts = []
+    real = howard.solve
+
+    def counting(op, f, u0=None, **kwargs):
+        if u0 is None or not u0.values.any():
+            zero_starts.append(u0)
+        return real(op, f, u0, **kwargs)
+
+    monkeypatch.setattr(howard, "solve", counting)
+    monkeypatch.setattr(cli, "solve", counting, raising=False)  # a direct call counts too
+    data = json.loads((SCENARIOS / "resonance_minus.json").read_text())
+    data["solve_t"] = -0.5
+    code = cli.main(["solve", write_scenario(tmp_path, data), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_RUNTIME
+    assert len(zero_starts) == 1
+
+
 def test_branch_and_diagram(tmp_path):
     out = tmp_path / "br"
     code = cli.main(["branch", str(SCENARIOS / "fucik_subcritical.json"),

@@ -174,6 +174,18 @@ def test_proper_shift_is_proper(grid199):
     assert sigma >= fam.max_zeroth + 1.0
 
 
+@pytest.mark.parametrize("b_plus", [1e17, 1e300])
+def test_proper_shift_keeps_its_margin_for_huge_coefficients(b_plus):
+    # delta + 1.0 rounds to delta from about 2^53 on
+    fam = ControlFamily.fucik(b_plus)
+    assert proper_shift(fam) - fam.envelope.delta >= 1.0
+
+
+def test_proper_shift_is_delta_plus_one_up_to_2_pow_20():
+    for delta in (0.0, 15.0, 2.0**20):
+        assert proper_shift(ControlFamily.fucik(delta)) == delta + 1.0
+
+
 @settings(max_examples=15, deadline=None)
 @given(small_problems())
 def test_mirror_identity_on_random_problems(problem):

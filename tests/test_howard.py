@@ -7,14 +7,18 @@ from conftest import small_problems
 from hjbranch.eigen import principal_eigen
 from hjbranch.errors import UsageError
 from hjbranch.grids import GridFunction, build_grid, sup_norm
+import hjbranch.howard as howard
 from hjbranch.howard import (
     CONVERGED,
     DIVERGED,
+    MAX_ITERS,
     SINGULAR,
+    SolveReport,
     basin_census,
     check_abp,
     check_comparison,
     solve,
+    solve_with_starts,
 )
 from hjbranch.operators import ControlFamily, DiscreteOperator
 
@@ -173,6 +177,66 @@ def test_basin_census_finds_both_fucik_solutions(grid199, sine, lam_h199):
     starts = [grid199.zeros(), sine * 2.0, sine * (-2.0), sine * 20.0, sine * (-20.0)]
     census = basin_census(op, sine, starts, distinct_gap=1e-4)
     assert len(census) == 2
+    assert sum(count for _, count in census) <= len(starts)
+
+
+def _scripted_solve(monkeypatch, statuses):
+    """Stand in for ``howard.solve``: the k-th call returns k*f with the k-th
+    status. Returns the list of starts it was given."""
+    starts = []
+
+    def scripted(op, f, u0=None, blowup_norm=howard.BLOWUP_NORM):
+        starts.append(u0)
+        return f * float(len(starts)), SolveReport(statuses[len(starts) - 1], 1)
+
+    monkeypatch.setattr(howard, "solve", scripted)
+    return starts
+
+
+def test_ladder_solves_no_start_after_the_first_converged(monkeypatch, sine):
+    tried = _scripted_solve(monkeypatch, [MAX_ITERS, DIVERGED, CONVERGED, CONVERGED])
+    ladder = [sine * float(k) for k in range(4)]
+    u, rep = solve_with_starts(None, sine, ladder)
+    assert rep.status == CONVERGED
+    assert tried == ladder[:3]
+    assert np.array_equal(u.values, (sine * 3.0).values)
+
+
+@pytest.mark.parametrize("statuses, chosen", [
+    ([MAX_ITERS, DIVERGED, DIVERGED, MAX_ITERS], 2),
+    ([SINGULAR, MAX_ITERS, DIVERGED], 3),
+    ([MAX_ITERS, SINGULAR, MAX_ITERS], 1),
+])
+def test_ladder_without_convergence_returns_first_diverged_else_first(
+        monkeypatch, sine, statuses, chosen):
+    tried = _scripted_solve(monkeypatch, statuses)
+    u, rep = solve_with_starts(None, sine, [None] * len(statuses))
+    assert len(tried) == len(statuses)
+    assert rep.status == statuses[chosen - 1]
+    assert np.array_equal(u.values, (sine * float(chosen)).values)
+
+
+def test_ladder_needs_a_start(sine):
+    with pytest.raises(UsageError):
+        solve_with_starts(None, sine, [])
+
+
+def test_ladder_counts_real_solves_and_forwards_blowup_norm(monkeypatch, grid199,
+                                                            laplacian, sine):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("blowup_norm"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(howard, "solve", counting)
+    op = DiscreteOperator(laplacian, grid199, 0.0)
+    f = sine * (-np.pi**2)
+    u, rep = solve_with_starts(op, f, [grid199.zeros(), sine, sine * 2.0])
+    assert rep.converged and len(calls) == 1
+    # every start leaves the unit ball in its first step
+    u, rep = solve_with_starts(op, f, [grid199.zeros(), sine], blowup_norm=1e-3)
+    assert rep.status == DIVERGED and calls[1:] == [1e-3, 1e-3]
 
 
 @settings(max_examples=15, deadline=None)

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "op_digests.py"
-LINE = re.compile(r"^(fold2d|tstar2d|cli1d) \d+ .+ (ok|FAIL|raised) [0-9a-f]{64}$")
+LINE = re.compile(r"^(fold2d|tstar2d|cli1d|cli) \d+ .+ (ok|FAIL|raised) [0-9a-f]{64}$")
 
 
 def _digests() -> list[str]:
@@ -19,5 +19,5 @@ def _digests() -> list[str]:
 def test_smoke_digests_repeat_with_one_hex_digest_per_op():
     first, second = _digests(), _digests()
     assert first == second
-    assert {line.split()[0] for line in first} == {"fold2d", "tstar2d", "cli1d"}
+    assert {line.split()[0] for line in first} == {"fold2d", "tstar2d", "cli1d", "cli"}
     assert [line for line in first if not LINE.match(line)] == []

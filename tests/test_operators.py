@@ -14,7 +14,6 @@ from hjbranch.operators import (
     DiscreteOperator,
     check_h0_h3,
     gradient_magnitude_flat,
-    pucci_envelope_flat,
 )
 
 FAMILIES = {
@@ -288,9 +287,10 @@ def test_pucci_plus_dominates_members(grid199):
     fam = FAMILIES["finite_sup"]
     env = fam.envelope
     op = DiscreteOperator(fam, grid199, 0.0)
+    envelope = DiscreteOperator(ControlFamily.pucci_plus(env.lam_ell, env.Lam_ell), grid199, 0.0)
     for _ in range(20):
         u = rng.standard_normal(grid199.num_nodes)
-        bound = pucci_envelope_flat(op, u, "+") \
+        bound = envelope.apply_flat(u) \
             + env.gamma * gradient_magnitude_flat(grid199, u) + env.delta * np.abs(u)
         assert (op.apply_flat(u) - bound).max() <= 1e-10 * (1 + np.abs(bound).max())
 

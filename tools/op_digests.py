@@ -11,6 +11,13 @@ comparison. Two checkouts give byte-identical payloads when the outputs of
 ``--checkout A`` and ``--checkout B`` are identical (``diff``). ``ok`` is
 ``ok`` or ``FAIL`` from the op's gate (the recorded fine-grid probe of
 ``cli1d`` reads ``FAIL``), or ``raised`` with the digest of the exception.
+
+A last group, ``cli``, runs the CLI cases no benchmark op covers: ``solve``
+on every shipped scenario at ``solve_t`` -0.5 and 1.0 (some of them end in
+the exit-4 fallback), and ``eigen`` on 2D copies of ``fucik_fold`` and
+``pucci_eigen`` (31^2, 15^2 under ``--smoke``). Its ``ok`` means exit 0; the
+digest covers the exit code, standard error and every output file except
+``run.json``. It does not depend on ``--seed``.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -47,6 +55,37 @@ def op_lines(workload: str, seed: int, smoke: bool, workdir: Path) -> list[str]:
     return lines
 
 
+def cli_lines(smoke: bool, workdir: Path) -> list[str]:
+    from hjbranch import cli
+
+    shipped = Path(cli.__file__).parent / "scenarios"
+    cases = []
+    for path in sorted(shipped.glob("*.json")):
+        data = json.loads(path.read_text(encoding="utf-8"))
+        for t in (-0.5, 1.0):
+            cases.append((f"solve {path.stem} t={t}", "solve", {**data, "solve_t": t}))
+    n = 15 if smoke else 31
+    for name in ("fucik_fold", "pucci_eigen"):
+        data = json.loads((shipped / f"{name}.json").read_text(encoding="utf-8"))
+        data["grid"] = {"dim": 2, "extents": [[0.0, 1.0], [0.0, 1.0]], "n": [n, n]}
+        data["family"]["dim"] = 2
+        cases.append((f"eigen {name} {n}x{n}", "eigen", data))
+    workdir.mkdir(parents=True)
+    lines = []
+    for i, (label, command, data) in enumerate(cases):
+        path, out = workdir / f"{i:02d}.json", workdir / f"{i:02d}"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([command, str(path), "--out", str(out)])
+        h = hashlib.sha256(f"{code}\0{err.getvalue()}\0".encode())
+        for f in sorted(out.rglob("*")):
+            if f.is_file() and f.name != "run.json":
+                h.update(f.relative_to(out).as_posix().encode() + b"\0" + f.read_bytes())
+        lines.append(f"cli {i} {label} {'ok' if code == 0 else 'FAIL'} {h.hexdigest()}")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--checkout", type=Path, default=HERE)
@@ -61,6 +100,8 @@ def main(argv: list[str] | None = None) -> int:
         for name in WORKLOADS:
             for line in op_lines(name, args.seed, args.smoke, Path(tmp) / name):
                 print(line, flush=True)
+        for line in cli_lines(args.smoke, Path(tmp) / "cli"):
+            print(line, flush=True)
     return 0
 
 
