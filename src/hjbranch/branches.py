@@ -36,8 +36,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .eigen import principal_eigen, subdomain_gap
 from .errors import (
@@ -67,7 +65,7 @@ from .howard import (
     solve,
     solve_with_starts,
 )
-from .operators import ControlFamily, DiscreteOperator
+from .operators import ControlFamily, DiscreteOperator, TwoPolicyFactors
 
 AT_LAM_PLUS = "at_lam_plus"
 AT_LAM_MINUS = "at_lam_minus"
@@ -845,19 +843,10 @@ def _continue_in_d(ctx: BranchContext, op: DiscreteOperator, u_start: GridFuncti
     def merit(u_flat, t, c):
         return float(np.abs(residual(u_flat, t)).max()) + abs(c) * op.matrix_scale()
 
-    def bordered(L, jstar):
-        """[[L, -phi], [e_jstar, 0]] in CSC form."""
-        e = np.zeros(N)
-        e[jstar] = 1.0
-        top = scipy.sparse.hstack([L, scipy.sparse.csc_matrix(-phi[:, None])])
-        bot = scipy.sparse.hstack([scipy.sparse.csc_matrix(e[None, :]),
-                                   scipy.sparse.csc_matrix([[0.0]])])
-        return scipy.sparse.vstack([top, bot]).tocsc()
-
-    # LU factors of the last two bordered systems, keyed by (policy, jstar),
-    # which determine the system; the policy alternates between two values
-    # along the path
-    factors: dict[tuple[bytes, int], scipy.sparse.linalg.SuperLU] = {}
+    # the corrector's policy alternates between two values along the path;
+    # each remembered linearization keeps the factor of its last bordered system
+    factors = TwoPolicyFactors(op)
+    column = -phi
 
     def correct(u0, t0, d_target):
         """Semismooth Newton on [F_h residual; (u - ref)[argmax] - d_target]."""
@@ -871,19 +860,10 @@ def _continue_in_d(ctx: BranchContext, op: DiscreteOperator, u_start: GridFuncti
             if np.abs(r).max() <= guard_tol(1e-10 * scale, op.matrix_scale(), np.abs(u).max()) \
                     and abs(c) <= 1e-11 * scale:
                 return u, t, True
-            lin = op.linearize(u)
-            key = (lin.active.tobytes(), jstar)
-            lu = factors.pop(key, None)
+            lin = factors.linearize(u)
             try:
-                if lu is None:
-                    lu = scipy.sparse.linalg.splu(bordered(lin.matrix, jstar))
-                delta = lu.solve(-np.concatenate([r, [c]]))
-            except RuntimeError:
-                return u, t, False
-            factors[key] = lu
-            if len(factors) > 2:
-                del factors[next(iter(factors))]
-            if not np.all(np.isfinite(delta)):
+                delta = lin.solve_bordered(column, jstar, -np.concatenate([r, [c]]))
+            except np.linalg.LinAlgError:
                 return u, t, False
             base = merit(u, t, c)
             theta = 1.0

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import BracketError, EigenIterationError, UsageError
 from .grids import Grid, GridFunction, eigen_bump, half_domain_grid, sup_norm
 from .howard import CONVERGED, solve
-from .operators import ControlFamily, DiscreteOperator, Linearization
+from .operators import ControlFamily, DiscreteOperator, TwoPolicyFactors
 
 
 _TOL = 1e-10  # eigenvalue change between steps
@@ -71,38 +71,6 @@ def principal_eigen(family: ControlFamily, grid: Grid, sign: str) -> EigenPair:
     return _inverse_iteration(family, grid, start, sign)
 
 
-class _TwoPolicyFactors:
-    """The shifted operator of one inverse iteration, remembering the
-    ``Linearization`` of its last two policies with the factor each holds.
-
-    Every inner solve starts at u = 0, whose policy differs from the
-    converged one, so a single remembered policy would refactor both on
-    every step. ``linearize`` still asks the wrapped operator for the
-    policy; it returns the remembered linearization whenever that policy
-    is one of the two, and the same policy gives the same matrix.
-    """
-
-    def __init__(self, op):
-        self.op = op
-        self.grid = op.grid
-        self._lins: dict[bytes, Linearization] = {}
-
-    def apply_flat(self, flat: np.ndarray) -> np.ndarray:
-        return self.op.apply_flat(flat)
-
-    def linearize(self, u: GridFunction | np.ndarray) -> Linearization:
-        lin = self.op.linearize(u)
-        key = lin.active.tobytes()
-        lin = self._lins.pop(key, lin)
-        self._lins[key] = lin
-        if len(self._lins) > 2:
-            del self._lins[next(iter(self._lins))]
-        return lin
-
-    def matrix_scale(self) -> float:
-        return self.op.matrix_scale()
-
-
 def _inverse_iteration(family: ControlFamily, grid: Grid, start: GridFunction,
                        sign: str) -> EigenPair:
     """Shifted inverse power iteration from ``start`` until both the
@@ -110,7 +78,7 @@ def _inverse_iteration(family: ControlFamily, grid: Grid, start: GridFunction,
     of the shifted operator's last two policies live as long as the call."""
     sigma = proper_shift(family)
     op_plain = DiscreteOperator(family, grid, 0.0)
-    op_shifted = _TwoPolicyFactors(DiscreteOperator(family, grid, -sigma))
+    op_shifted = TwoPolicyFactors(DiscreteOperator(family, grid, -sigma))
     u, lam = start, np.inf
     for it in range(1, _MAX_ITERS + 1):
         w, rep = solve(op_shifted, -u)

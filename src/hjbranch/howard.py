@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
 from .errors import UsageError
 from .grids import GridFunction, sup_norm
@@ -122,7 +120,7 @@ def solve(op, f: GridFunction, u0: GridFunction | None = None,
         lin = op.linearize(u)
         try:
             delta = lin.solve(-resid_vec)
-        except (scipy.linalg.LinAlgError, RuntimeError):
+        except np.linalg.LinAlgError:
             status = SINGULAR
             break
         cand = u + delta
@@ -252,10 +250,6 @@ class AbpReport:
     sup_part: float
     forcing_norm: float
     ratio: float
-
-    def as_dict(self) -> dict:
-        return {"side": self.side, "sup_part": self.sup_part,
-                "forcing_norm": self.forcing_norm, "ratio": self.ratio}
 
 
 def check_abp(op, u: GridFunction, f: GridFunction, side: str) -> AbpReport:

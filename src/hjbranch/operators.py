@@ -269,29 +269,38 @@ class _Stencil:
                 for s, gate, (up, low) in zip(self.strides, self.gates, links)]
 
 
+def _factor(A):
+    """``splu(A)``, looked up at call time; a singular A raises ``LinAlgError``."""
+    try:
+        return scipy.sparse.linalg.splu(A)
+    except RuntimeError as exc:
+        raise np.linalg.LinAlgError(str(exc)) from None
+
+
 class Linearization:
     """Frozen-control linear map L with L u = apply(op, u) at the base point.
 
     Held as the diagonal plus one gated (upper, lower) band pair per axis
     (see ``_Stencil.bands``); the banded solve (1D) and the sparse matrix
-    (2D) are both built from these bands.
+    (2D) are both built from these bands. A singular system or non-finite
+    solution raises ``np.linalg.LinAlgError`` (``scipy.linalg.LinAlgError``).
     """
 
-    def __init__(self, grid: Grid, diag: np.ndarray,
-                 bands: list[tuple[np.ndarray, np.ndarray]], active: np.ndarray):
-        self.grid = grid
+    def __init__(self, diag: np.ndarray, bands: list[tuple[np.ndarray, np.ndarray]],
+                 active: np.ndarray):
         self.active = active
         self.diag = diag
         self.bands = bands
         self._matrix = None
         self._banded = None
         self._lu = None
+        self._bordered = (None, None, None)  # (column, row, LU) of the last bordered solve
 
     @property
     def matrix(self) -> scipy.sparse.csc_matrix:
         """L in CSC form, exact zeros dropped."""
         if self._matrix is None:
-            N = self.grid.num_nodes
+            N = self.diag.size
             diagonals, offsets = [self.diag], [0]
             for upper, lower in self.bands:
                 s = N - upper.size  # the band at offset s has N - s entries
@@ -302,22 +311,66 @@ class Linearization:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
-        if self.grid.dim == 1:
+        if len(self.bands) == 1:
             if self._banded is None:
                 upper, lower = self.bands[0]
-                ab = np.zeros((3, self.grid.num_nodes))
+                ab = np.zeros((3, self.diag.size))
                 ab[0, 1:] = upper
                 ab[1] = self.diag
                 ab[2, :-1] = lower
                 self._banded = ab
-            sol = scipy.linalg.solve_banded((1, 1), self._banded, rhs)
+            # a non-finite rhs gives a non-finite solution, refused below
+            sol = scipy.linalg.solve_banded((1, 1), self._banded, rhs, check_finite=False)
         else:
             if self._lu is None:
-                self._lu = scipy.sparse.linalg.splu(self.matrix)
+                self._lu = _factor(self.matrix)
             sol = self._lu.solve(rhs)
         if not np.all(np.isfinite(sol)):
-            raise scipy.linalg.LinAlgError("non-finite solution from direct solve")
+            raise np.linalg.LinAlgError("non-finite solution from direct solve")
         return sol
+
+    def solve_bordered(self, column: np.ndarray, row: int, rhs: np.ndarray) -> np.ndarray:
+        """Solve the bordered system [[L, column], [e_row, 0]] x = rhs, where
+        e_row is the unit row vector at node ``row``. The factor of the last
+        (column, row) pair is kept."""
+        last_column, last_row, lu = self._bordered
+        if last_row != row or not np.array_equal(last_column, column):
+            e_row = scipy.sparse.csc_matrix(np.eye(1, self.diag.size, row))
+            lu = _factor(scipy.sparse.bmat([[self.matrix, scipy.sparse.csc_matrix(column[:, None])],
+                                            [e_row, None]], format="csc"))
+            self._bordered = (column, row, lu)
+        sol = lu.solve(rhs)
+        if not np.all(np.isfinite(sol)):
+            raise np.linalg.LinAlgError("non-finite solution from bordered solve")
+        return sol
+
+
+class TwoPolicyFactors:
+    """An operator remembering the ``Linearization`` of its last two
+    policies with the factors each holds, for the length of one call.
+
+    Inverse iteration (each inner solve starts at u = 0, whose policy is
+    not the converged one) and the fold corrector alternate between two
+    policies, so one remembered policy would refactor both on every step.
+    ``linearize`` still asks the wrapped operator for the policy; the same
+    policy gives the same matrix. Everything else is the wrapped operator's.
+    """
+
+    def __init__(self, op):
+        self.op = op
+        self.grid = op.grid
+        self.apply_flat = op.apply_flat
+        self.matrix_scale = op.matrix_scale
+        self._lins: dict[bytes, Linearization] = {}
+
+    def linearize(self, u: GridFunction | np.ndarray) -> Linearization:
+        lin = self.op.linearize(u)
+        key = lin.active.tobytes()
+        lin = self._lins.pop(key, lin)
+        self._lins[key] = lin
+        if len(self._lins) > 2:
+            del self._lins[next(iter(self._lins))]
+        return lin
 
 
 @dataclass(frozen=True)
@@ -408,7 +461,7 @@ class DiscreteOperator:
             return lin
         diag = st.diag[active]
         links = [(up[active], low[active]) for up, low in st.links]
-        lin = Linearization(self.grid, diag, st.bands(links), active)
+        lin = Linearization(diag, st.bands(links), active)
         object.__setattr__(self, "_last", (key, lin))
         return lin
 
@@ -508,10 +561,10 @@ def check_h0_h3(op: DiscreteOperator, trials: int = 100, seed: int = 0) -> Prope
         worst["m"] = max(worst["m"], max(viol, 0.0))
         # envelope sandwich (holds for every uniformly elliptic kind)
         d = u - v
-        upper = m_plus.apply_flat(d) + env.gamma * gradient_magnitude_flat(op.grid, d) \
-            + env.delta * np.abs(d) + op.shift * d
-        lower = m_minus.apply_flat(d) - env.gamma * gradient_magnitude_flat(op.grid, d) \
-            - env.delta * np.abs(d) + op.shift * d
+        drift = env.gamma * gradient_magnitude_flat(op.grid, d)
+        zeroth = env.delta * np.abs(d)
+        upper = m_plus.apply_flat(d) + drift + zeroth + op.shift * d
+        lower = m_minus.apply_flat(d) - drift - zeroth + op.shift * d
         viol = max(((Fu - Fv) - upper).max(), (lower - (Fu - Fv)).max()) / scale
         worst["s"] = max(worst["s"], max(viol, 0.0))
     report = PropertyReport(op.family.kind, trials, worst["h"], worst["a"],

@@ -420,7 +420,7 @@ def _small_fold_cfg():
 
 def test_fold_with_reused_factors_matches_fresh_factors(monkeypatch):
     import scipy.sparse.linalg
-    from hjbranch.operators import DiscreteOperator
+    from hjbranch.operators import DiscreteOperator, TwoPolicyFactors
 
     shipped = trace_fold(_small_fold_cfg())
 
@@ -438,6 +438,7 @@ def test_fold_with_reused_factors_matches_fresh_factors(monkeypatch):
         def solve(self, rhs):
             return splu(self.A).solve(rhs)
 
+    monkeypatch.setattr(TwoPolicyFactors, "linearize", lambda memory, u: memory.op.linearize(u))
     monkeypatch.setattr(DiscreteOperator, "linearize", forgetful_linearize)
     monkeypatch.setattr(scipy.sparse.linalg, "splu", FreshFactors)
     fresh = trace_fold(_small_fold_cfg())
@@ -458,10 +459,13 @@ def test_fold_factorization_count_stays_below_policy_iterations(monkeypatch):
     import hjbranch.howard as howard
 
     splu, solve = scipy.sparse.linalg.splu, howard.solve
-    factorizations, policy_iters = [0], [0]
+    cfg = _small_fold_cfg()
+    factorizations, bordered, policy_iters = [0], [0], [0]
 
     def counting_splu(A, *args, **kwargs):
         factorizations[0] += 1
+        # the corrector's bordered systems have one row and column more
+        bordered[0] += A.shape[0] == cfg.grid.num_nodes + 1
         return splu(A, *args, **kwargs)
 
     def counting_solve(*args, **kwargs):
@@ -472,7 +476,9 @@ def test_fold_factorization_count_stays_below_policy_iterations(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
     for module in (howard, branches, eigen):
         monkeypatch.setattr(module, "solve", counting_solve)
-    trace_fold(_small_fold_cfg())
+    trace_fold(cfg)
     # the count is machine-independent; without reuse it exceeds policy_iters
     assert policy_iters[0] > 100
     assert factorizations[0] <= policy_iters[0] // 4
+    # the corrector reuses its bordered factors: 2 on this path
+    assert 1 <= bordered[0] <= 2

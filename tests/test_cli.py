@@ -122,6 +122,18 @@ def test_solve_tries_the_zero_start_once(tmp_path, monkeypatch):
     assert len(zero_starts) == 1
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_solve_with_overflowing_rhs_exits_runtime(tmp_path, dim):
+    """At solve_t 1e306 the scaled ladder starts overflow F_h to inf; the
+    linear solve fails as a singular linearization in 1D as in 2D, so the
+    command exits 4 instead of raising from the banded solver's input check."""
+    data = {"grid": {"dim": dim, "extents": [[0.0, 1.0]] * dim, "n": [49] if dim == 1 else [9, 9]},
+            "family": {"kind": "fucik", "b_plus": 5.0, "b_minus": 0.0, "dim": dim},
+            "solve_t": 1e306}
+    code = cli.main(["solve", write_scenario(tmp_path, data), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_RUNTIME
+
+
 def test_branch_and_diagram(tmp_path):
     out = tmp_path / "br"
     code = cli.main(["branch", str(SCENARIOS / "fucik_subcritical.json"),

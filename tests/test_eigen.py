@@ -223,7 +223,7 @@ def test_principal_eigen_factors_two_policies_once(family, sign, monkeypatch):
 @two_policy_cases
 def test_principal_eigen_with_remembered_factors_matches_fresh_factors(family, sign, monkeypatch):
     import scipy.sparse.linalg
-    from hjbranch.operators import DiscreteOperator
+    from hjbranch.operators import DiscreteOperator, TwoPolicyFactors
 
     shipped = principal_eigen(family, GRID15, sign)
 
@@ -241,7 +241,7 @@ def test_principal_eigen_with_remembered_factors_matches_fresh_factors(family, s
         def solve(self, rhs):
             return splu(self.A).solve(rhs)
 
-    monkeypatch.setattr(hjbranch.eigen, "_TwoPolicyFactors", lambda op: op)
+    monkeypatch.setattr(TwoPolicyFactors, "linearize", lambda memory, u: memory.op.linearize(u))
     monkeypatch.setattr(DiscreteOperator, "linearize", forgetful_linearize)
     monkeypatch.setattr(scipy.sparse.linalg, "splu", FreshFactors)
     fresh = principal_eigen(family, GRID15, sign)

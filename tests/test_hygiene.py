@@ -76,3 +76,21 @@ def test_every_export_resolves():
     import hjbranch
 
     assert [name for name in hjbranch.__all__ if not hasattr(hjbranch, name)] == []
+
+
+def scipy_imports(source: str) -> list[str]:
+    """``line: module`` for every import of ``scipy`` or one of its submodules."""
+    tree = ast.parse(source)
+    names = [(node.lineno, alias.name) for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names]
+    names += [(node.lineno, node.module) for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module]
+    return [f"{line}: {name}" for line, name in names
+            if name == "scipy" or name.startswith("scipy.")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "operators.py"],
+                         ids=lambda p: p.name)
+def test_only_operators_imports_scipy(path):
+    """Every factorization, its reuse and its failure live in ``operators``."""
+    assert scipy_imports(path.read_text(encoding="utf-8")) == []

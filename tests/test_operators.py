@@ -12,6 +12,7 @@ from hjbranch.operators import (
     ControlCoeffs,
     ControlFamily,
     DiscreteOperator,
+    TwoPolicyFactors,
     check_h0_h3,
     gradient_magnitude_flat,
 )
@@ -273,6 +274,82 @@ def test_check_h0_h3(grid199, name):
     assert report.passed
     assert max(report.homogeneity, report.additivity,
                report.midpoint, report.sandwich) <= 1e-10
+
+
+def test_check_h0_h3_evaluates_the_gradient_once_per_trial(grid199, monkeypatch):
+    import hjbranch.operators as operators
+
+    calls = [0]
+
+    def counting(grid, flat):
+        calls[0] += 1
+        return gradient_magnitude_flat(grid, flat)
+
+    monkeypatch.setattr(operators, "gradient_magnitude_flat", counting)
+    check_h0_h3(DiscreteOperator(FAMILIES["finite_sup"], grid199, 0.0), trials=7, seed=2)
+    assert calls[0] == 7
+
+
+def _singular_operator(dim):
+    """The Laplacian on 3 nodes per axis shifted by dim * 2 / h^2: a zero
+    diagonal on a bipartite stencil, exactly singular; SciPy reports the
+    2D factorization as a ``RuntimeError``."""
+    grid = build_grid(dim, ((0.0, 1.0),) * dim if dim == 2 else (0.0, 1.0), (3,) * dim)
+    return DiscreteOperator(ControlFamily.laplacian(dim), grid, dim * 32.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_every_failed_solve_raises_linalg_error(dim):
+    op = _singular_operator(dim)
+    lin = op.linearize(op.grid.ones().values)
+    rhs = np.ones(op.grid.num_nodes)
+    # a singular matrix, or a non-finite solution of a regular one
+    with pytest.raises(np.linalg.LinAlgError):
+        lin.solve(rhs)
+    regular = DiscreteOperator(ControlFamily.laplacian(dim), op.grid, 0.0).linearize(rhs)
+    with pytest.raises(np.linalg.LinAlgError):
+        regular.solve(np.full(op.grid.num_nodes, np.inf))
+
+
+def test_bordered_solve_matches_dense_and_keeps_the_last_row_factor(monkeypatch):
+    grid, families = stencil_grid(2, False)
+    rng = np.random.default_rng(3)
+    lin = DiscreteOperator(families["fucik"], grid, -3.0).linearize(
+        rng.standard_normal(grid.num_nodes))
+    N = grid.num_nodes
+    column, rhs = -np.abs(rng.standard_normal(N)), rng.standard_normal(N + 1)
+    splu, factors = scipy.sparse.linalg.splu, [0]
+
+    def counting(A, *args, **kwargs):
+        factors[0] += 1
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
+    for row, expected in ((5, 1), (5, 1), (7, 2), (5, 3)):
+        dense = np.zeros((N + 1, N + 1))
+        dense[:N, :N] = lin.matrix.toarray()
+        dense[:N, N] = column
+        dense[N, row] = 1.0
+        x = lin.solve_bordered(column, row, rhs)
+        assert np.abs(x - np.linalg.solve(dense, rhs)).max() <= 1e-9 * np.abs(x).max()
+        assert factors[0] == expected
+    lin.solve_bordered(2.0 * column, 5, rhs)
+    assert factors[0] == 4
+    # a row of zeros in the matrix part makes the bordered system singular
+    with pytest.raises(np.linalg.LinAlgError):
+        lin.solve_bordered(np.zeros(N), 5, rhs)
+
+
+def test_two_policy_factors_remember_the_last_two_policies():
+    grid, families = stencil_grid(2, False)
+    op = DiscreteOperator(families["fucik"], grid, -3.0)
+    memory = TwoPolicyFactors(op)
+    u = np.random.default_rng(4).standard_normal(grid.num_nodes)
+    a, b, c = memory.linearize(u), memory.linearize(-u), memory.linearize(np.abs(u))
+    assert memory.linearize(-u) is b and memory.linearize(np.abs(u)) is c
+    assert memory.linearize(u) is not a  # evicted by the third policy
+    assert memory.grid is grid and memory.matrix_scale() == op.matrix_scale()
+    assert np.array_equal(memory.apply_flat(u), op.apply_flat(u))
 
 
 def test_homogeneity_exact_on_positive_eigenfunction(grid199, sine):
