@@ -364,6 +364,8 @@ def _cmd_solve(sc: Scenario, out: Path) -> int:
         "final_residual": rep.final_residual, "sup_norm": float(np.abs(u.values).max()),
         "min": u.min(), "max": u.max()})
     if not rep.converged:
+        print(f"error: solve did not converge: final status {rep.status} after "
+              f"{rep.iters} policy iterations", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
 

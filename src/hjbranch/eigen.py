@@ -24,12 +24,12 @@ import numpy as np
 
 from .errors import BracketError, EigenIterationError, UsageError
 from .grids import Grid, GridFunction, eigen_bump, half_domain_grid, sup_norm
-from .howard import CONVERGED, solve
+from .howard import CONVERGED, guard_tol, solve
 from .operators import ControlFamily, DiscreteOperator, TwoPolicyFactors
 
 
 _TOL = 1e-10  # eigenvalue change between steps
-_RESIDUAL_TOL = 1e-9  # sup |F_h[phi] + lam*phi| at the normalized iterate
+_RESIDUAL_TOL = 1e-9  # sup |F_h[phi] + lam*phi|, raised to the rounding floor of F_h
 # the fixed shift converges at the rate (lam_1 + sigma)/(lam_2 + sigma), which
 # nears 1 when the gap is small against lam_1, as on anisotropic 2D grids:
 # a 5x3 grid on (0, 2)x(0, 0.5) needs 589 steps, extreme ones about 2,400
@@ -53,10 +53,11 @@ class EigenPair:
     phi: GridFunction
     residual: float
     iters: int
+    residual_tol: float
 
     def as_dict(self) -> dict:
         return {"sign": self.sign, "lam": self.lam, "residual": self.residual,
-                "iters": self.iters}
+                "iters": self.iters, "residual_tol": self.residual_tol}
 
 
 def _sign_ok(flat: np.ndarray, sign: str) -> bool:
@@ -79,6 +80,7 @@ def _inverse_iteration(family: ControlFamily, grid: Grid, start: GridFunction,
     sigma = proper_shift(family)
     op_plain = DiscreteOperator(family, grid, 0.0)
     op_shifted = TwoPolicyFactors(DiscreteOperator(family, grid, -sigma))
+    resid_tol = float(guard_tol(_RESIDUAL_TOL, op_plain.matrix_scale(), 1.0))
     u, lam = start, np.inf
     for it in range(1, _MAX_ITERS + 1):
         w, rep = solve(op_shifted, -u)
@@ -92,13 +94,13 @@ def _inverse_iteration(family: ControlFamily, grid: Grid, start: GridFunction,
         lam_new = 1.0 / nrm - sigma
         u_new = w * (1.0 / nrm)
         resid = float(np.abs(op_plain.apply_flat(u_new.values) + lam_new * u_new.values).max())
-        if abs(lam_new - lam) <= _TOL and resid <= _RESIDUAL_TOL:
-            return EigenPair(sign, lam_new, u_new, resid, it)
+        if abs(lam_new - lam) <= _TOL and resid <= resid_tol:
+            return EigenPair(sign, lam_new, u_new, resid, it, resid_tol)
         if lam_new == lam and np.array_equal(u_new.values, u.values):
             # the step reproduced its input, so every later step repeats it
             raise EigenIterationError(
                 f"inverse iteration did not converge: iteration {it} repeats the one "
-                f"before, with residual {resid:.3g} above {_RESIDUAL_TOL:g}")
+                f"before, with residual {resid:.3g} above {resid_tol:.3g}")
         lam, u = lam_new, u_new
     raise EigenIterationError(
         f"inverse iteration did not converge in {_MAX_ITERS} iterations")

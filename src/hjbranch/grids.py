@@ -8,6 +8,7 @@ reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +48,7 @@ class Grid:
 
     @property
     def num_nodes(self) -> int:
-        return int(np.prod(self.n))
+        return math.prod(self.n)
 
     @property
     def shape(self) -> tuple[int, ...]:

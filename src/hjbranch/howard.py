@@ -82,6 +82,8 @@ class SolveReport:
         }
 
 
+# an overflowing iterate is an outcome (Diverged or SingularLinearization), not a fault
+@np.errstate(over="ignore", invalid="ignore")
 def solve(op, f: GridFunction, u0: GridFunction | None = None,
           blowup_norm: float = BLOWUP_NORM) -> tuple[GridFunction, SolveReport]:
     """Solve F_h[u] = f by policy iteration with damped fallback.

@@ -43,6 +43,10 @@ from .grids import Grid, GridFunction
 
 KINDS = ("linear", "finite_sup", "fucik", "pucci_plus", "pucci_minus")
 
+# LAPACK's tridiagonal solver, the routine solve_banded((1, 1), ...) calls:
+# (lower, diag, upper, rhs) -> (_, _, _, solution, info)
+_gtsv = scipy.linalg.get_lapack_funcs("gtsv", dtype=float)
+
 
 @dataclass(frozen=True)
 class Envelope:
@@ -214,11 +218,11 @@ def _neighbor_views(grid: Grid, flat: np.ndarray):
     out = []
     for ax in range(grid.dim):
         lead = (slice(None),) * ax
-        plus = np.zeros_like(U)
-        minus = np.zeros_like(U)
-        plus[lead + (slice(None, -1),)] = U[lead + (slice(1, None),)]
-        minus[lead + (slice(1, None),)] = U[lead + (slice(None, -1),)]
-        out.append((plus.ravel(), minus.ravel()))
+        # U with one zero layer on each side along ax; plus and minus are its shifts
+        pad = np.zeros(grid.shape[:ax] + (1,) + grid.shape[ax + 1:])
+        padded = np.concatenate((pad, U, pad), axis=ax)
+        out.append((padded[lead + (slice(2, None),)].ravel(),
+                    padded[lead + (slice(None, -2),)].ravel()))
     return out
 
 
@@ -281,9 +285,10 @@ class Linearization:
     """Frozen-control linear map L with L u = apply(op, u) at the base point.
 
     Held as the diagonal plus one gated (upper, lower) band pair per axis
-    (see ``_Stencil.bands``); the banded solve (1D) and the sparse matrix
-    (2D) are both built from these bands. A singular system or non-finite
-    solution raises ``np.linalg.LinAlgError`` (``scipy.linalg.LinAlgError``).
+    (see ``_Stencil.bands``); the 1D solve runs LAPACK gtsv on these bands
+    and the sparse matrix (2D) is built from them. A singular system or
+    non-finite solution raises ``np.linalg.LinAlgError``
+    (``scipy.linalg.LinAlgError``).
     """
 
     def __init__(self, diag: np.ndarray, bands: list[tuple[np.ndarray, np.ndarray]],
@@ -292,7 +297,6 @@ class Linearization:
         self.diag = diag
         self.bands = bands
         self._matrix = None
-        self._banded = None
         self._lu = None
         self._bordered = (None, None, None)  # (column, row, LU) of the last bordered solve
 
@@ -312,15 +316,12 @@ class Linearization:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
         if len(self.bands) == 1:
-            if self._banded is None:
-                upper, lower = self.bands[0]
-                ab = np.zeros((3, self.diag.size))
-                ab[0, 1:] = upper
-                ab[1] = self.diag
-                ab[2, :-1] = lower
-                self._banded = ab
-            # a non-finite rhs gives a non-finite solution, refused below
-            sol = scipy.linalg.solve_banded((1, 1), self._banded, rhs, check_finite=False)
+            upper, lower = self.bands[0]
+            # gtsv works on copies of the bands; a non-finite rhs gives a
+            # non-finite solution, refused below
+            sol, info = _gtsv(lower, self.diag, upper, rhs)[3:]
+            if info > 0:
+                raise np.linalg.LinAlgError("singular tridiagonal matrix")
         else:
             if self._lu is None:
                 self._lu = _factor(self.matrix)

@@ -1,7 +1,8 @@
 """Acceptance battery: one test per criterion, each printing a pass line.
 
 Expected values come from closed forms of the three-point stencil
-spectrum (lam_h = (2/h^2)(1 - cos(pi h))), explicit ODE solutions, or
+spectrum (lam_h = (2/h^2)(1 - cos(pi h)) = (4/h^2) sin^2(pi h/2), the
+second form free of cancellation on fine grids), explicit ODE solutions, or
 cross-checks between two independent methods, never from the code path
 under test.
 """
@@ -46,11 +47,14 @@ def test_criterion_01_laplacian_eigen_oracle(grid199, laplacian, lam_h199):
     assert abs(pair.lam - lam_h199) <= 1e-9
     assert abs(pair.lam - np.pi**2) / np.pi**2 <= 5e-4
     errs, hs = [], []
-    for n in (49, 99, 199, 399):
+    for n in (49, 99, 199, 399, 1599, 3199):
         g = build_grid(1, (0.0, 1.0), n)
         lam = principal_eigen(ControlFamily.laplacian(dim=1), g, "+").lam
+        h = g.h[0]
+        # the cancellation-free form of the closed-form lam_h
+        assert abs(lam - 4.0 / h**2 * np.sin(np.pi * h / 2) ** 2) <= 1e-9
         errs.append(abs(lam - np.pi**2))
-        hs.append(g.h[0])
+        hs.append(h)
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert abs(slope - 2.0) <= 0.1
     _report(1, f"lam={pair.lam:.12f}, order slope={slope:.3f}", started, 1.0)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -122,16 +123,36 @@ def test_solve_tries_the_zero_start_once(tmp_path, monkeypatch):
     assert len(zero_starts) == 1
 
 
+def overflowing_solve_scenario(dim):
+    return {"grid": {"dim": dim, "extents": [[0.0, 1.0]] * dim, "n": [49] if dim == 1 else [9, 9]},
+            "family": {"kind": "fucik", "b_plus": 5.0, "b_minus": 0.0, "dim": dim},
+            "solve_t": 1e306}
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_solve_with_overflowing_rhs_exits_runtime(tmp_path, dim):
     """At solve_t 1e306 the scaled ladder starts overflow F_h to inf; the
     linear solve fails as a singular linearization in 1D as in 2D, so the
     command exits 4 instead of raising from the banded solver's input check."""
-    data = {"grid": {"dim": dim, "extents": [[0.0, 1.0]] * dim, "n": [49] if dim == 1 else [9, 9]},
-            "family": {"kind": "fucik", "b_plus": 5.0, "b_minus": 0.0, "dim": dim},
-            "solve_t": 1e306}
+    data = overflowing_solve_scenario(dim)
     code = cli.main(["solve", write_scenario(tmp_path, data), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_RUNTIME
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_overflowing_solve_names_its_status_without_warnings(tmp_path, capsys, dim):
+    """The overflow is an outcome of the solve: no NumPy warning, and one
+    error line naming the final status."""
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["solve", write_scenario(tmp_path, overflowing_solve_scenario(dim)),
+                         "--out", str(out)])
+    assert code == cli.EXIT_RUNTIME
+    assert [str(w.message) for w in caught] == []
+    status = json.loads((out / "summary.json").read_text())["status"]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and f"status {status} " in err[0]
 
 
 def test_branch_and_diagram(tmp_path):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from conftest import discrete_lam1, small_problems
 from hjbranch.errors import BracketError, EigenIterationError
 import hjbranch.eigen
+import hjbranch.howard
 from hjbranch.eigen import (
     eigen_bisect_crosscheck,
     principal_eigen,
@@ -147,8 +148,10 @@ def test_slow_anisotropic_problem_converges_past_500_steps():
 
 
 def test_repeated_iterate_raises_at_once(grid199, monkeypatch):
-    # below the rounding floor the iteration reaches an exact fixed point
+    # below the rounding floor the iteration reaches an exact fixed point; the
+    # residual target is raised to that floor unless the guard is switched off
     monkeypatch.setattr(hjbranch.eigen, "_RESIDUAL_TOL", 0.0)
+    monkeypatch.setattr(hjbranch.howard, "_GUARD_FACTOR", 0.0)
     with pytest.raises(EigenIterationError,
                        match=r"did not converge: iteration \d+ repeats the one before"):
         principal_eigen(ControlFamily.laplacian(), grid199, "+")

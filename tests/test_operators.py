@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from hjbranch.operators import (
     ControlFamily,
     DiscreteOperator,
     TwoPolicyFactors,
+    _neighbor_views,
     check_h0_h3,
     gradient_magnitude_flat,
 )
@@ -186,6 +188,58 @@ def test_banded_solve_matches_sparse_matrix(half):
         rhs = rng.standard_normal(op.grid.num_nodes)
         ref = scipy.sparse.linalg.spsolve(lin.matrix, rhs)
         assert np.abs(lin.solve(rhs) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("family", [
+    ControlFamily.linear(diffusion=1.5, drift=[0.8]),
+    ControlFamily.fucik(5.0),
+    ControlFamily.pucci_minus(1.0, 2.0),
+], ids=["linear_drift", "fucik", "pucci_minus"])
+def test_1d_solve_equals_solve_banded_and_keeps_its_bands(family):
+    grid = build_grid(1, (0.0, 1.0), 199)
+    rng = np.random.default_rng(11)
+    for shift in (-2.0, 0.0):
+        lin = DiscreteOperator(family, grid, shift).linearize(rng.standard_normal(grid.num_nodes))
+        (upper, lower), = lin.bands
+        kept = [a.copy() for a in (lin.diag, upper, lower)]
+        ab = np.zeros((3, grid.num_nodes))
+        ab[0, 1:], ab[1], ab[2, :-1] = upper, lin.diag, lower
+        for _ in range(3):
+            rhs = rng.standard_normal(grid.num_nodes)
+            assert np.array_equal(lin.solve(rhs), scipy.linalg.solve_banded((1, 1), ab, rhs))
+        (upper, lower), = lin.bands
+        assert all(np.array_equal(a, b) for a, b in zip((lin.diag, upper, lower), kept))
+
+
+def _two_array_views(grid, flat):
+    """The neighbour views built as two zero arrays per axis, filled by slices."""
+    U = flat.reshape(grid.shape)
+    out = []
+    for ax in range(grid.dim):
+        lead = (slice(None),) * ax
+        plus, minus = np.zeros_like(U), np.zeros_like(U)
+        plus[lead + (slice(None, -1),)] = U[lead + (slice(1, None),)]
+        minus[lead + (slice(1, None),)] = U[lead + (slice(None, -1),)]
+        out.append((plus.ravel(), minus.ravel()))
+    return out
+
+
+@pytest.mark.parametrize("grid", [build_grid(1, (0.0, 1.0), 199),
+                                  build_grid(2, ((0.0, 1.0), (0.0, 2.0)), (5, 7))],
+                         ids=["1d", "2d_5x7"])
+def test_neighbor_views_equal_the_two_array_construction(grid):
+    flat = np.random.default_rng(2).standard_normal(grid.num_nodes)
+    flat[::3] = -0.0
+    got, want = _neighbor_views(grid, flat), _two_array_views(grid, flat)
+    assert len(got) == len(want) == grid.dim
+    for pair, ref in zip(got, want):
+        for a, b in zip(pair, ref):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_num_nodes_is_a_python_int():
+    for grid in (build_grid(1, (0.0, 1.0), 199), build_grid(2, ((0.0, 1.0), (0.0, 2.0)), (5, 7))):
+        assert type(grid.num_nodes) is int and grid.num_nodes == np.prod(grid.n)
 
 
 def assert_same_csc(a, b):

@@ -14,8 +14,10 @@ comparison. Two checkouts give byte-identical payloads when the outputs of
 
 A last group, ``cli``, runs the CLI cases no benchmark op covers: ``solve``
 on every shipped scenario at ``solve_t`` -0.5 and 1.0 (some of them end in
-the exit-4 fallback), and ``eigen`` on 2D copies of ``fucik_fold`` and
-``pucci_eigen`` (31^2, 15^2 under ``--smoke``). Its ``ok`` means exit 0; the
+the exit-4 fallback), ``eigen`` on 2D copies of ``fucik_fold`` and
+``pucci_eigen`` (31^2, 15^2 under ``--smoke``), and ``eigen`` on 1D copies of
+``laplacian_eigen`` and ``pucci_eigen`` at n=1599, a grid whose rounding floor
+lies above the eigen residual target's 1e-9. Its ``ok`` means exit 0; the
 digest covers the exit code, standard error and every output file except
 ``run.json``. It does not depend on ``--seed``.
 """
@@ -70,6 +72,10 @@ def cli_lines(smoke: bool, workdir: Path) -> list[str]:
         data["grid"] = {"dim": 2, "extents": [[0.0, 1.0], [0.0, 1.0]], "n": [n, n]}
         data["family"]["dim"] = 2
         cases.append((f"eigen {name} {n}x{n}", "eigen", data))
+    for name in ("laplacian_eigen", "pucci_eigen"):
+        data = json.loads((shipped / f"{name}.json").read_text(encoding="utf-8"))
+        data["grid"]["n"] = [1599]
+        cases.append((f"eigen {name} 1599", "eigen", data))
     workdir.mkdir(parents=True)
     lines = []
     for i, (label, command, data) in enumerate(cases):
