@@ -2,19 +2,22 @@
 
 All floats are written with 17 significant digits (round-trip exact for
 IEEE doubles), CSV uses LF line endings and a header row, JSON is UTF-8
-with sorted keys. Two runs with identical seeds therefore produce
-byte-identical numeric payloads.
+with sorted keys. This module is the one owner of the JSON format: the
+JSON writers take dicts and dataclass instances (a report, a grid) alike.
+Two runs with identical seeds therefore produce byte-identical numeric
+payloads.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 
-from .grids import GridFunction, direction_cosine
+from .grids import GridFunction, direction_cosine, sup_norm
 
 
 def fmt(x) -> str:
@@ -39,6 +42,9 @@ def write_csv(path, header: list[str], rows) -> None:
 
 
 def _jsonable(obj):
+    """The JSON value of ``obj``; a dataclass instance is the dict of its fields."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -59,7 +65,7 @@ def _jsonable(obj):
     return obj
 
 
-def write_json(path, payload: dict) -> None:
+def write_json(path, payload) -> None:
     Path(path).write_text(
         json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n",
         encoding="utf-8", newline="\n")
@@ -70,26 +76,16 @@ def write_jsonl(path, records) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def grid_function_rows(u: GridFunction):
-    coords = u.grid.coords()
-    for i in range(u.grid.num_nodes):
-        yield tuple(coords[i]) + (u.values[i],)
-
-
 def write_grid_function(path, u: GridFunction) -> None:
     header = ["x", "value"] if u.grid.dim == 1 else ["x", "y", "value"]
-    write_csv(path, header, grid_function_rows(u))
-
-
-def branch_rows(branch, phi):
-    for p in branch.points:
-        yield (p.t, p.d, float(np.abs(p.u.values).max()), p.u.min(), p.u.max(),
-               "|".join(sorted(p.regime_tags)), direction_cosine(p.u, phi))
+    write_csv(path, header, (tuple(x) + (v,) for x, v in zip(u.grid.coords(), u.values)))
 
 
 def write_branch(path, branch, phi) -> None:
     header = ["t", "d", "sup_norm", "min_u", "max_u", "regime_tags", "eigdir_cosine"]
-    write_csv(path, header, branch_rows(branch, phi))
+    rows = ((p.t, p.d, sup_norm(p.u), p.u.min(), p.u.max(), "|".join(sorted(p.regime_tags)),
+             direction_cosine(p.u, phi)) for p in branch.points)
+    write_csv(path, header, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -272,9 +272,10 @@ def _set_d(points: list[BranchPoint], ref: GridFunction) -> None:
 def _sweep(ctx: BranchContext, op: DiscreteOperator, ts, fallback, what: str,
            skip_unsolved: bool = False) -> list[BranchPoint]:
     """Warm-started sweep over ``ts``: each t starts from the previous
-    solution, then from ``fallback(t)``. Every emitted point passes a fresh
-    residual check. A t where no start converges raises ``RegimeError``
-    naming ``what``, or is dropped when ``skip_unsolved``."""
+    solution, then from ``fallback(t)``. Every emitted point passed the
+    fresh residual check of ``howard.solve``. A t where no start converges
+    raises ``RegimeError`` naming ``what``, or is dropped when
+    ``skip_unsolved``."""
     points: list[BranchPoint] = []
     for t in ts:
         t = float(t)
@@ -285,9 +286,6 @@ def _sweep(ctx: BranchContext, op: DiscreteOperator, ts, fallback, what: str,
             if skip_unsolved:
                 continue
             raise RegimeError(f"{what} failed at t={t}: {rep.status}")
-        resid = _residual(op, u, f)
-        if resid > rep.tol:
-            raise RegimeError(f"emitted point fails fresh residual check: {resid} > {rep.tol}")
         points.append(BranchPoint(t, u, 0.0, _tags(u), rep))
     return points
 
@@ -490,15 +488,13 @@ def _uniqueness_probe(op: DiscreteOperator, f: GridFunction, ctx: BranchContext,
     """Solve from distant starts; all converged solutions must agree."""
     starts = [ctx.eig_plus.phi * (-0.01 * scale), ctx.eig_plus.phi * (-20.0 * scale),
               mixed_mode(ctx.grid) * scale, ctx.grid.zeros()]
-    sols = []
-    for s in starts:
-        u, rep = solve(op, f, u0=s)
-        if rep.converged:
-            sols.append(u)
-    if len(sols) < 2:
-        return {"converged_starts": len(sols), "agree": len(sols) == 1, "max_gap": 0.0}
-    gap = max(sup_norm(a - b) for a in sols for b in sols)
-    return {"converged_starts": len(sols), "agree": gap <= tol_gap, "max_gap": gap}
+    # a zero gap merges only bit-equal solutions, so the representatives
+    # have the pairwise gaps of all converged solutions
+    census = basin_census(op, f, starts, distinct_gap=0.0)
+    converged = sum(count for _, count in census)
+    gap = max((sup_norm(a - b) for a, _ in census for b, _ in census), default=0.0)
+    return {"converged_starts": converged, "agree": converged > 0 and gap <= tol_gap,
+            "max_gap": gap}
 
 
 def uniqueness_probe_at(cfg: BranchConfig, t: float, ctx: BranchContext | None = None

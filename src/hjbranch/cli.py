@@ -18,6 +18,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,7 @@ from .errors import (
     ConfigurationError,
     HJBError,
 )
-from .grids import Grid, GridFunction, build_grid
+from .grids import Grid, GridFunction
 from .howard import solve_with_starts
 from .operators import ControlFamily, DiscreteOperator
 
@@ -54,40 +55,27 @@ EXIT_RUNTIME = 4
 _MAX_NODES = 2**20
 
 
+@dataclass
 class Scenario:
-    """Validated scenario with all defaults materialized."""
+    """Validated scenario: ``data`` with all defaults materialized, and the
+    grid, family, sampled h_fun and (lam, offset) that validation built."""
 
-    def __init__(self, data: dict):
-        self.data = data
+    data: dict
+    grid: Grid
+    family: ControlFamily
+    h_fun: GridFunction
+    lam: tuple
 
     @property
     def name(self) -> str:
         return self.data["name"]
 
-    def grid(self) -> Grid:
-        g = self.data["grid"]
-        return build_grid(g["dim"], [tuple(e) for e in g["extents"]]
-                          if g["dim"] == 2 else tuple(g["extents"][0]), tuple(g["n"]))
-
-    def family(self) -> ControlFamily:
-        return _family_from_dict(self.data["family"])
-
-    def lam(self):
-        lam = self.data["lam"]
-        if isinstance(lam, dict):
-            return lam["mode"], lam["offset"]
-        return float(lam), 0.0
-
-    def h_fun(self, grid: Grid) -> GridFunction:
-        return _sample_h(self.data["h_fun"], grid)
-
     def branch_config(self) -> br.BranchConfig:
-        grid = self.grid()
         b = self.data["branch"]
-        lam, offset = self.lam()
+        lam, offset = self.lam
         return br.BranchConfig(
-            self.family(), grid, lam, tuple(b["t_range"]), b["n_samples"],
-            h_fun=self.h_fun(grid), lam_offset=offset,
+            self.family, self.grid, lam, tuple(b["t_range"]), b["n_samples"],
+            h_fun=self.h_fun, lam_offset=offset,
             resonance_levels=b["resonance_levels"])
 
 
@@ -201,28 +189,31 @@ def _sample_h(hd, grid: Grid) -> GridFunction:
         return grid.zeros()
     key = _H_FUN_KEYS[kind][0]
     _reals(hd[key], f"h_fun.{key}")
+    _expect(kind == "sine" or grid.dim == 1, "h_fun.kind", "poly forcing is 1D only")
     coords = grid.coords()
     hats = []
     for ax in range(grid.dim):
         a, b = grid.extents[ax]
         hats.append((coords[:, ax] - a) / (b - a))
-    if kind == "poly":
-        _expect(grid.dim == 1, "h_fun.kind", "poly forcing is 1D only")
-        vals = np.zeros(grid.num_nodes)
-        for k, c in enumerate(hd["coeffs"]):
-            vals += float(c) * hats[0] ** k
-        return GridFunction(grid, vals)
     vals = np.zeros(grid.num_nodes)
-    for m, a_m in enumerate(hd["amplitudes"], start=1):
-        mode = np.ones(grid.num_nodes)
-        for hat in hats:
-            mode = mode * np.sin(m * np.pi * hat)
-        vals += float(a_m) * mode
+    # finite coefficients can still sum past the largest double
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "poly":
+            for k, c in enumerate(hd["coeffs"]):
+                vals += float(c) * hats[0] ** k
+        else:
+            for m, a_m in enumerate(hd["amplitudes"], start=1):
+                mode = np.ones(grid.num_nodes)
+                for hat in hats:
+                    mode = mode * np.sin(m * np.pi * hat)
+                vals += float(a_m) * mode
+    _expect(bool(np.isfinite(vals).all()), f"h_fun.{key}", "the sampled forcing must be finite")
     return GridFunction(grid, vals)
 
 
-def validate_scenario(raw: dict) -> dict:
-    """Validate against the schema and materialize every default."""
+def validate_scenario(raw: dict) -> Scenario:
+    """Validate against the schema, materialize every default and build the
+    grid, family and h_fun."""
     _expect(isinstance(raw, dict), "$", "scenario must be a JSON object")
     _require_keys(raw, "$", ("grid", "family"),
                   ("name", "lam", "h_fun", "branch", "seeds", "solve_t",
@@ -254,6 +245,7 @@ def validate_scenario(raw: dict) -> dict:
     out["grid"] = {"dim": gd["dim"],
                    "extents": [[float(a), float(b)] for a, b in gd["extents"]],
                    "n": list(gd["n"])}
+    grid = Grid(gd["dim"], tuple(tuple(e) for e in out["grid"]["extents"]), tuple(gd["n"]))
 
     family = _family_from_dict(raw["family"])
     out["family"] = raw["family"]
@@ -264,8 +256,10 @@ def validate_scenario(raw: dict) -> dict:
         _expect(lam["mode"] in (br.AT_LAM_PLUS, br.AT_LAM_MINUS), "lam.mode",
                 "must be 'at_lam_plus' or 'at_lam_minus'")
         out["lam"] = {"mode": lam["mode"], "offset": _real(lam.get("offset", 0.0), "lam.offset")}
+        lam_pair = (lam["mode"], out["lam"]["offset"])
     else:
         out["lam"] = _real(lam, "lam")
+        lam_pair = (out["lam"], 0.0)
 
     out["h_fun"] = raw.get("h_fun", {"kind": "zero"})
 
@@ -293,10 +287,7 @@ def validate_scenario(raw: dict) -> dict:
     _expect(isinstance(dump, bool), "dump_points", "must be a boolean")
     out["dump_points"] = dump
 
-    # construction-level validation: grid/family invariants and admissibility
-    scenario = Scenario(out)
-    grid = scenario.grid()
-    scenario.h_fun(grid)
+    h_fun = _sample_h(out["h_fun"], grid)
     # the operators that eigen builds: CFL failure raises AdmissibilityError,
     # a coefficient that overflows the stencil a ConfigurationError
     for shift in (0.0, -proper_shift(family)):
@@ -306,7 +297,7 @@ def validate_scenario(raw: dict) -> dict:
             raise
         except ConfigurationError as exc:
             raise _err("family", str(exc)) from exc
-    return out
+    return Scenario(out, grid, family, h_fun, lam_pair)
 
 
 def parse_scenario(path) -> Scenario:
@@ -318,7 +309,7 @@ def parse_scenario(path) -> Scenario:
         raw = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise ConfigurationError(f"invalid JSON in {path}: {exc}") from exc
-    return Scenario(validate_scenario(raw))
+    return validate_scenario(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +318,8 @@ def parse_scenario(path) -> Scenario:
 
 
 def _cmd_eigen(sc: Scenario, out: Path) -> int:
-    grid = sc.grid()
-    fam = sc.family()
+    grid = sc.grid
+    fam = sc.family
     plus = principal_eigen(fam, grid, "+")
     minus = principal_eigen(fam, grid, "-")
     write_grid_function(out / "eigen_plus.csv", plus.phi)
@@ -337,14 +328,12 @@ def _cmd_eigen(sc: Scenario, out: Path) -> int:
     # a reader can judge how close the discrete eigenvalue sits to its limit
     richardson = {}
     if all(n >= 7 and n % 2 == 1 for n in grid.n):
-        coarse = build_grid(grid.dim,
-                            grid.extents if grid.dim == 2 else grid.extents[0],
-                            tuple((n - 1) // 2 for n in grid.n))
+        coarse = Grid(grid.dim, grid.extents, tuple((n - 1) // 2 for n in grid.n))
         for tag, pair in (("plus", plus), ("minus", minus)):
             lam_c = principal_eigen(fam, coarse, "+" if tag == "plus" else "-").lam
             richardson[tag] = (4.0 * pair.lam - lam_c) / 3.0
     write_json(out / "summary.json", {
-        "grid": grid.to_dict(), "plus": plus.as_dict(), "minus": minus.as_dict(),
+        "grid": grid, "plus": plus.as_dict(), "minus": minus.as_dict(),
         "spectral_gap": minus.lam - plus.lam,
         "lam_richardson": richardson})
     return EXIT_OK
@@ -358,7 +347,7 @@ def _cmd_solve(sc: Scenario, out: Path) -> int:
     f = ctx.rhs(t)
     u, rep = solve_with_starts(op, f, ctx.ladder(1.0 + abs(t)))
     write_grid_function(out / "solution.csv", u)
-    write_jsonl(out / "trace.jsonl", [rep.as_dict()])
+    write_jsonl(out / "trace.jsonl", [rep])
     write_json(out / "summary.json", {
         "t": t, "lam": ctx.lam, "status": rep.status, "iters": rep.iters,
         "final_residual": rep.final_residual, "sup_norm": float(np.abs(u.values).max()),
@@ -388,7 +377,7 @@ def _cmd_branch(sc: Scenario, out: Path) -> int:
             raise _err("lam", f"branch above lam_1^- needs lam in ({lo}, {hi}], the "
                        f"window of the negative-regime sweep; got {ctx.lam}")
     summary: dict = {"regime": ctx.regime, "lam": ctx.lam,
-                     "grid": cfg.grid.to_dict(),
+                     "grid": cfg.grid,
                      "lam_plus": ctx.eig_plus.lam, "lam_minus": ctx.eig_minus.lam}
     phi = ctx.eig_plus.phi
     crit = None
@@ -410,20 +399,14 @@ def _cmd_branch(sc: Scenario, out: Path) -> int:
     if crit is not None:
         summary["t_star"] = crit.t_star
         summary["bracket"] = list(crit.bracket)
-        write_json(out / "tstar.json", _critical_payload(crit))
+        write_json(out / "tstar.json", crit)
     summary["diagnostics"] = diagnostics
     if sc.data["dump_points"]:
         for i, p in enumerate(branch.points):
             write_grid_function(out / f"point_{i:04d}.csv", p.u)
-    write_jsonl(out / "trace.jsonl", [p.solve.as_dict() for p in branch.points])
+    write_jsonl(out / "trace.jsonl", [p.solve for p in branch.points])
     write_json(out / "summary.json", summary)
     return EXIT_OK
-
-
-def _critical_payload(crit: br.CriticalReport) -> dict:
-    return {"t_star": crit.t_star, "bracket": list(crit.bracket), "kind": crit.kind,
-            "blowup_evidence": [list(e) for e in crit.blowup_evidence],
-            "diagnostics": crit.diagnostics}
 
 
 def _cmd_tstar(sc: Scenario, out: Path) -> int:
@@ -432,16 +415,16 @@ def _cmd_tstar(sc: Scenario, out: Path) -> int:
         raise _err("lam", f"tstar needs lam at lam_1^+ = {ctx.eig_plus.lam} or lam_1^- = "
                    f"{ctx.eig_minus.lam}, got {ctx.lam} ({ctx.regime} regime)")
     crit = br.locate_tstar_resonance(cfg, ctx.resonance_sign, ctx)
-    write_json(out / "tstar.json", _critical_payload(crit))
+    write_json(out / "tstar.json", crit)
     write_csv(out / "evidence.csv", ["eps", "t", "sup_norm", "eigdir_cosine"],
               crit.blowup_evidence)
     return EXIT_OK
 
 
 def _cmd_suite(sc: Scenario, out: Path) -> int:
-    specs = default_suite(sc.grid(), seed=sc.data["seeds"][0])
+    specs = default_suite(sc.grid, seed=sc.data["seeds"][0])
     results = run_suite(specs)
-    write_json(out / "results.json", {"results": [r.as_dict() for r in results]})
+    write_json(out / "results.json", {"results": results})
     (out / "report.md").write_text(emit_traceability(results), encoding="utf-8")
     if any(r.status == "Fail" for r in results):
         return EXIT_ASSERT

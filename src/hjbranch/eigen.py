@@ -28,7 +28,7 @@ from .howard import CONVERGED, guard_tol, solve
 from .operators import ControlFamily, DiscreteOperator, TwoPolicyFactors
 
 
-_TOL = 1e-10  # eigenvalue change between steps
+_TOL = 1e-10  # eigenvalue change between steps, raised to a few ulps of lam
 _RESIDUAL_TOL = 1e-9  # sup |F_h[phi] + lam*phi|, raised to the rounding floor of F_h
 # the fixed shift converges at the rate (lam_1 + sigma)/(lam_2 + sigma), which
 # nears 1 when the gap is small against lam_1, as on anisotropic 2D grids:
@@ -94,7 +94,7 @@ def _inverse_iteration(family: ControlFamily, grid: Grid, start: GridFunction,
         lam_new = 1.0 / nrm - sigma
         u_new = w * (1.0 / nrm)
         resid = float(np.abs(op_plain.apply_flat(u_new.values) + lam_new * u_new.values).max())
-        if abs(lam_new - lam) <= _TOL and resid <= resid_tol:
+        if abs(lam_new - lam) <= guard_tol(_TOL, abs(lam_new), 1.0) and resid <= resid_tol:
             return EigenPair(sign, lam_new, u_new, resid, it, resid_tol)
         if lam_new == lam and np.array_equal(u_new.values, u.values):
             # the step reproduced its input, so every later step repeats it

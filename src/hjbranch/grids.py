@@ -76,14 +76,6 @@ class Grid:
         """Per-node quadrature weight h^dim."""
         return float(np.prod(self.h))
 
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "extents": [list(e) for e in self.extents],
-            "n": list(self.n),
-            "h": list(self.h),
-        }
-
 
 def build_grid(dim: int, extents, n) -> Grid:
     """Construct a grid; extents is (a, b) in 1D or ((a1,b1),(a2,b2)) in 2D,

@@ -70,17 +70,6 @@ class SolveReport:
     def converged(self) -> bool:
         return self.status == CONVERGED
 
-    def as_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "iters": self.iters,
-            "residual_history": list(self.residual_history),
-            "active_control_changes": list(self.active_control_changes),
-            "tol": self.tol,
-            "final_residual": self.final_residual,
-            "damping_events": self.damping_events,
-        }
-
 
 # an overflowing iterate is an outcome (Diverged or SingularLinearization), not a fault
 @np.errstate(over="ignore", invalid="ignore")

@@ -506,18 +506,6 @@ class PropertyReport:
     def passed(self) -> bool:
         return max(self.homogeneity, self.additivity, self.midpoint, self.sandwich) <= self.tolerance
 
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "trials": self.trials,
-            "homogeneity": self.homogeneity,
-            "additivity": self.additivity,
-            "midpoint": self.midpoint,
-            "sandwich": self.sandwich,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-
 
 def check_h0_h3(op: DiscreteOperator, trials: int = 100, seed: int = 0) -> PropertyReport:
     """Verify positive 1-homogeneity, the difference bound, the midpoint
@@ -572,5 +560,5 @@ def check_h0_h3(op: DiscreteOperator, trials: int = 100, seed: int = 0) -> Prope
                             worst["m"], worst["s"], 1e-10)
     if not report.passed:
         raise PropertyFailureError(
-            f"stencil algebra violated beyond 1e-10: {report.as_dict()}")
+            f"stencil algebra violated beyond 1e-10: {report}")
     return report

@@ -474,3 +474,19 @@ def test_validate_scenario_fuzz_raises_only_schema_errors(data):
         cli.validate_scenario(scenario)
     except (cli.ConfigurationError, cli.AdmissibilityError):
         pass
+
+
+@pytest.mark.parametrize("command, h_fun, path", [
+    ("eigen", {"kind": "poly", "coeffs": [1e308, 1e308]}, "h_fun.coeffs"),
+    ("solve", {"kind": "sine", "amplitudes": [1e308, 1e308, 1e308]}, "h_fun.amplitudes"),
+])
+def test_overflowing_h_fun_exits_2_with_its_path(tmp_path, capsys, command, h_fun, path):
+    """Each coefficient is finite, but the sampled sum overflows: a schema
+    error naming the coefficient list, without a NumPy warning."""
+    data = {**minimal_scenario(), "h_fun": h_fun}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main([command, write_scenario(tmp_path, data), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_SCHEMA
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")

@@ -14,6 +14,7 @@ from hjbranch.eigen import (
     subdomain_gap,
 )
 from hjbranch.grids import build_grid, sup_norm
+from hjbranch.howard import guard_tol
 from hjbranch.operators import ControlFamily
 
 
@@ -280,3 +281,16 @@ def test_solve_through_factor_memory_linearizes_once_per_policy_iteration(family
     pair = principal_eigen(family, GRID15, sign)
     assert solves[0] == pair.iters
     assert mismatches == []
+
+
+def test_eigenvalue_change_test_scales_with_lam():
+    """At |lam| ~ 1e301 one ulp of lam is about 2e285, so the change between
+    steps cannot fall to an absolute 1e-10: this n=24 grid (the Richardson
+    coarse grid of ``hjbranch eigen`` at n=49) ran 5000 steps. Below
+    |lam| ~ 5.6e4 the scaled threshold is 1e-10 itself."""
+    assert guard_tol(hjbranch.eigen._TOL, 5.6e4, 1.0) == 1e-10
+    g = build_grid(1, (0.0, 1.0), 24)
+    pair = principal_eigen(ControlFamily.linear(1e300), g, "+")
+    assert pair.iters <= 50
+    assert pair.residual <= pair.residual_tol
+    assert abs(pair.lam / 1e300 - discrete_lam1(24)) <= 1e-9 * discrete_lam1(24)

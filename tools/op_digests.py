@@ -15,11 +15,14 @@ comparison. Two checkouts give byte-identical payloads when the outputs of
 A last group, ``cli``, runs the CLI cases no benchmark op covers: ``solve``
 on every shipped scenario at ``solve_t`` -0.5 and 1.0 (some of them end in
 the exit-4 fallback), ``eigen`` on 2D copies of ``fucik_fold`` and
-``pucci_eigen`` (31^2, 15^2 under ``--smoke``), and ``eigen`` on 1D copies of
+``pucci_eigen`` (31^2, 15^2 under ``--smoke``), ``eigen`` on 1D copies of
 ``laplacian_eigen`` and ``pucci_eigen`` at n=1599, a grid whose rounding floor
-lies above the eigen residual target's 1e-9. Its ``ok`` means exit 0; the
-digest covers the exit code, standard error and every output file except
-``run.json``. It does not depend on ``--seed``.
+lies above the eigen residual target's 1e-9, and ``branch`` then ``diagram``
+in one output directory on the shipped ``fucik_fold`` and ``resonance_minus``
+(the diagram reads back the branch CSVs and ``tstar.json``). Its ``ok`` means
+exit 0; the digest covers the exit code, standard error and every output file
+except ``run.json`` (after ``diagram``, the branch files too). It does not
+depend on ``--seed``.
 """
 
 from __future__ import annotations
@@ -65,21 +68,25 @@ def cli_lines(smoke: bool, workdir: Path) -> list[str]:
     for path in sorted(shipped.glob("*.json")):
         data = json.loads(path.read_text(encoding="utf-8"))
         for t in (-0.5, 1.0):
-            cases.append((f"solve {path.stem} t={t}", "solve", {**data, "solve_t": t}))
+            cases.append((f"solve {path.stem} t={t}", "solve", {**data, "solve_t": t}, None))
     n = 15 if smoke else 31
     for name in ("fucik_fold", "pucci_eigen"):
         data = json.loads((shipped / f"{name}.json").read_text(encoding="utf-8"))
         data["grid"] = {"dim": 2, "extents": [[0.0, 1.0], [0.0, 1.0]], "n": [n, n]}
         data["family"]["dim"] = 2
-        cases.append((f"eigen {name} {n}x{n}", "eigen", data))
+        cases.append((f"eigen {name} {n}x{n}", "eigen", data, None))
     for name in ("laplacian_eigen", "pucci_eigen"):
         data = json.loads((shipped / f"{name}.json").read_text(encoding="utf-8"))
         data["grid"]["n"] = [1599]
-        cases.append((f"eigen {name} 1599", "eigen", data))
+        cases.append((f"eigen {name} 1599", "eigen", data, None))
+    for name in ("fucik_fold", "resonance_minus"):
+        data = json.loads((shipped / f"{name}.json").read_text(encoding="utf-8"))
+        for command in ("branch", "diagram"):
+            cases.append((f"{command} {name}", command, data, f"{name}-branch"))
     workdir.mkdir(parents=True)
     lines = []
-    for i, (label, command, data) in enumerate(cases):
-        path, out = workdir / f"{i:02d}.json", workdir / f"{i:02d}"
+    for i, (label, command, data, shared_out) in enumerate(cases):
+        path, out = workdir / f"{i:02d}.json", workdir / (shared_out or f"{i:02d}")
         path.write_text(json.dumps(data), encoding="utf-8")
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
