@@ -27,9 +27,6 @@ from .howard import (
 )
 from .operators import ControlFamily, DiscreteOperator
 
-THEOREM_IDS = ("T1.1", "T1.2", "T1.3", "T1.4", "T1.5", "T1.6",
-               "T2.1", "T2.3", "T2.4", "L2.8", "P4.4", "P6.1")
-
 
 @dataclass
 class CheckSpec:
@@ -43,6 +40,8 @@ class CheckSpec:
     def __post_init__(self):
         if self.theorem_id not in THEOREM_IDS:
             raise ConfigurationError(f"unknown theorem id {self.theorem_id!r}")
+        if self.grid is None:
+            self.grid = build_grid(1, (0.0, 1.0), 199)
 
 
 @dataclass
@@ -55,86 +54,79 @@ class CheckResult:
     message: str = ""
 
 
-def _grid(spec: CheckSpec) -> Grid:
-    return spec.grid or build_grid(1, (0.0, 1.0), 199)
-
-
 def _laplacian_lam_plus(grid: Grid) -> float:
     return principal_eigen(ControlFamily.laplacian(grid.dim), grid, "+").lam
 
 
-# --- individual runners ----------------------------------------------------
+def _prepare_in(regime: str, cfg: br.BranchConfig, spec: CheckSpec) -> br.BranchContext:
+    """Prepare ``cfg``; raise ``ConfigurationError`` unless its lam sits in
+    ``regime``, and for 'negative' inside ``negative_window`` too: off it the
+    check's statement does not apply, so there is nothing to pass or fail."""
+    ctx = br.prepare(cfg)
+    got = ctx.regime
+    lo, hi = ctx.negative_window
+    if got == "negative" and ctx.lam > hi:
+        got = f"negative beyond lam_1^- + {hi - lo:.3g}"
+    if got != regime:
+        raise ConfigurationError(
+            f"{spec.theorem_id} spec/regime mismatch: needs the {regime} regime, got {got} "
+            f"with lam_1^+ / lam / lam_1^- = {ctx.eig_plus.lam} / {ctx.lam} / {ctx.eig_minus.lam}")
+    return ctx
 
 
-def _run_t11(spec: CheckSpec) -> CheckResult:
-    g = _grid(spec)
+# --- individual runners: each returns (invariant holds, metrics) -----------
+
+
+def _run_t11(spec: CheckSpec) -> tuple[bool, dict]:
+    g = spec.grid
     cfg = br.BranchConfig(ControlFamily.fucik(5.0, dim=g.dim), g, 0.0, (-5.0, 5.0), 21)
-    branch = br.sweep_subcritical(cfg)
+    branch = br.sweep_subcritical(cfg, _prepare_in("subcritical", cfg, spec))
     lo, hi = branch.points[0], branch.points[-1]
-    ok = (branch.diagnostics["strict_decrease_gap"] > 0
-          and branch.diagnostics["convexity_violation"]
-          <= branch.diagnostics["convexity_slack"]
-          and lo.u.min() > 0 and hi.u.max() < 0)
-    return CheckResult(
-        "T1.1", "Pass" if ok else "Fail",
-        "subcritical branch: t1 < t2 implies u(t1) > u(t2) pointwise; "
-        "t -> u_t(x) convex; u > 0 at the low end and u < 0 at the high end",
-        {"strict_decrease_gap": branch.diagnostics["strict_decrease_gap"],
-         "lipschitz": branch.diagnostics["lipschitz"],
-         "convexity_violation": branch.diagnostics["convexity_violation"],
-         "min_at_tmin": lo.u.min(), "max_at_tmax": hi.u.max()})
+    # sweep_subcritical raises unless the branch strictly decreases and is convex
+    return lo.u.min() > 0 and hi.u.max() < 0, {
+        "strict_decrease_gap": branch.diagnostics["strict_decrease_gap"],
+        "lipschitz": branch.diagnostics["lipschitz"],
+        "convexity_violation": branch.diagnostics["convexity_violation"],
+        "min_at_tmin": lo.u.min(), "max_at_tmax": hi.u.max()}
 
 
-def _run_t12(spec: CheckSpec) -> CheckResult:
-    g = _grid(spec)
+def _run_t12(spec: CheckSpec) -> tuple[bool, dict]:
+    g = spec.grid
     fam = ControlFamily.fucik(_laplacian_lam_plus(g), dim=g.dim)
     cfg = br.BranchConfig(fam, g, br.AT_LAM_PLUS, (-3.0, 12.0), 11)
     ctx = br.prepare(cfg)
     crit = br.locate_tstar_resonance(cfg, "+", ctx)
     branch = br.trace_resonant_branch(cfg, crit, ctx)
     d = branch.diagnostics
-    probes_ok = all(pr["agree"] for pr in d["uniqueness_probes"].values())
-    rays_ok = d.get("alternative") == "ii" and all(
-        v <= d["ray_tol"] for v in d["ray_residuals"].values())
     pt_hi = max(branch.points, key=lambda q: q.t)
-    ok = probes_ok and rays_ok and pt_hi.u.max() < 0
-    return CheckResult(
-        "T1.2", "Pass" if ok else "Fail",
-        "at the positive principal eigenvalue the branch exists only above a "
-        "critical t*; solutions unique above t*; bounded alternative carries "
-        "the ray u* + s*phi^+; large-t solutions negative",
-        {"t_star": crit.t_star, "bracket_lo": crit.bracket[0],
-         "bracket_hi": crit.bracket[1],
-         "alternative": 2.0 if d.get("alternative") == "ii" else
-         (1.0 if d.get("alternative") == "i" else 0.0),
-         "max_ray_residual": max(d["ray_residuals"].values()),
-         "ray_tol": d["ray_tol"],
-         "max_at_large_t": pt_hi.u.max()})
+    # trace_resonant_branch raises on a disagreeing uniqueness probe and
+    # labels the alternative "ii" only when every ray residual is within ray_tol
+    return d.get("alternative") == "ii" and pt_hi.u.max() < 0, {
+        "t_star": crit.t_star, "bracket_lo": crit.bracket[0],
+        "bracket_hi": crit.bracket[1],
+        "alternative": 2.0 if d.get("alternative") == "ii" else
+        (1.0 if d.get("alternative") == "i" else 0.0),
+        "max_ray_residual": max(d["ray_residuals"].values()),
+        "ray_tol": d["ray_tol"],
+        "max_at_large_t": pt_hi.u.max()}
 
 
-def _run_t13(spec: CheckSpec) -> CheckResult:
-    g = _grid(spec)
+def _run_t13(spec: CheckSpec) -> tuple[bool, dict]:
+    g = spec.grid
     cfg = br.BranchConfig(ControlFamily.fucik(15.0, dim=g.dim), g, 0.0, (-1.0, 3.0), 17)
-    ctx = br.prepare(cfg)
-    if ctx.regime != "fold":
-        raise ConfigurationError(
-            f"T1.3 spec/regime mismatch: needs the fold regime, got {ctx.regime} with "
-            f"lam_1^+ / lam / lam_1^- = {ctx.eig_plus.lam} / {ctx.lam} / {ctx.eig_minus.lam}")
+    ctx = _prepare_in("fold", cfg, spec)
     minimal, second, crit = br.trace_fold(cfg, ctx)
     op = ctx.operator()
     census = basin_census(op, ctx.rhs(1.0), ctx.ladder(2.0), distinct_gap=1e-4)
     below = basin_census(op, ctx.rhs(crit.t_star - 0.5), ctx.ladder(2.0))
     ok = (len(census) >= 2 and len(below) == 0
           and minimal.diagnostics["branch_gap_min"] > 1e-4)
-    return CheckResult(
-        "T1.3", "Pass" if ok else "Fail",
-        "between the eigenvalues: no solution below the fold t*, at least two "
-        "distinct solutions above, a decreasing convex minimal branch",
-        {"t_star": crit.t_star, "n_solutions_above": len(census),
-         "n_solutions_below": len(below),
-         "branch_gap_min": minimal.diagnostics["branch_gap_min"],
-         "merge_gap": minimal.diagnostics["merge_gap"],
-         "minimal_convexity_violation": minimal.diagnostics["convexity_violation"]})
+    return ok, {
+        "t_star": crit.t_star, "n_solutions_above": len(census),
+        "n_solutions_below": len(below),
+        "branch_gap_min": minimal.diagnostics["branch_gap_min"],
+        "merge_gap": minimal.diagnostics["merge_gap"],
+        "minimal_convexity_violation": minimal.diagnostics["convexity_violation"]}
 
 
 def _resonance_minus_family(g: Grid) -> tuple[ControlFamily, GridFunction]:
@@ -147,8 +139,8 @@ def _resonance_minus_family(g: Grid) -> tuple[ControlFamily, GridFunction]:
     return fam, h_fun
 
 
-def _run_t14(spec: CheckSpec) -> CheckResult:
-    g = _grid(spec)
+def _run_t14(spec: CheckSpec) -> tuple[bool, dict]:
+    g = spec.grid
     fam, h_fun = _resonance_minus_family(g)
     cfg = br.BranchConfig(fam, g, br.AT_LAM_MINUS, (-3.0, 3.0), 11, h_fun=h_fun)
     ctx = br.prepare(cfg)
@@ -157,63 +149,49 @@ def _run_t14(spec: CheckSpec) -> CheckResult:
     d = branch.diagnostics
     negative_ok = all(s["negative"] for s in d["negative_sector"] if s["s"] >= 2.0)
     ok = d["nonexistence_below"] and d["existence_above"] and negative_ok
-    return CheckResult(
-        "T1.4", "Pass" if ok else "Fail",
-        "at the negative principal eigenvalue: no solution below t*, "
-        "solutions above; large-norm solutions near t* negative with "
-        "interior max decreasing; t* brackets monotone over the gap ladder",
-        {"t_star": crit.t_star, "bracket_lo": crit.bracket[0],
-         "bracket_hi": crit.bracket[1],
-         # locate_tstar_resonance raises unless the boundary tail is monotone
-         "monotone_tail": 1.0,
-         "nonexistence_below": float(d["nonexistence_below"]),
-         "existence_above": float(d["existence_above"]),
-         "max_ray_residual": max(d["ray_residuals"].values()),
-         "ray_tol": d["ray_tol"]})
+    return ok, {
+        "t_star": crit.t_star, "bracket_lo": crit.bracket[0],
+        "bracket_hi": crit.bracket[1],
+        # locate_tstar_resonance raises unless the boundary tail is monotone
+        "monotone_tail": 1.0,
+        "nonexistence_below": float(d["nonexistence_below"]),
+        "existence_above": float(d["existence_above"]),
+        "max_ray_residual": max(d["ray_residuals"].values()),
+        "ray_tol": d["ray_tol"]}
 
 
-def _run_t15(spec: CheckSpec) -> CheckResult:
-    g = _grid(spec)
+def _run_t15(spec: CheckSpec) -> tuple[bool, dict]:
+    g = spec.grid
     fam, h_fun = _resonance_minus_family(g)
     cfg = br.BranchConfig(fam, g, br.AT_LAM_MINUS, (-100.0, 100.0), 21, h_fun=h_fun,
                           lam_offset=0.1)
-    branch = br.sweep_negative_regime(cfg)
+    branch = br.sweep_negative_regime(cfg, _prepare_in("negative", cfg, spec))
     d = branch.diagnostics
     interior = d["interior_max"]
     neg_ts = sorted(t for t in interior if t < 0)[:3]
     trend = [interior[t] for t in neg_ts]
-    trend_ok = len(trend) < 2 or all(trend[i] < trend[i + 1]
-                                     for i in range(len(trend) - 1))
-    anti_ok = all(st["converged"] and st["max"] < 0
-                  for st in d["antimaximum"].values())
-    ok = trend_ok and anti_ok and d["sup_top"] > d["sup_mid"] > 0
-    return CheckResult(
-        "T1.5", "Pass" if ok else "Fail",
-        "slightly above the negative eigenvalue: solutions exist for every t; "
-        "sup u grows with t; solutions negative for very negative t with "
-        "interior max diverging down; antimaximum forcing gives u < 0",
-        {"n_points": float(len(branch.points)), "sup_top": d["sup_top"],
-         "sup_mid": d["sup_mid"],
-         "interior_max_most_negative_t": trend[0] if trend else float("nan"),
-         "antimaximum_worst_max": max(st["max"] for st in d["antimaximum"].values())})
+    # sweep_negative_regime raises unless every antimaximum solve is negative
+    # and, as t_range[1] = 100 exceeds 10*(1 + sup|h|), sup_top > sup_mid > 0
+    ok = len(trend) < 2 or all(trend[i] < trend[i + 1] for i in range(len(trend) - 1))
+    return ok, {
+        "n_points": float(len(branch.points)), "sup_top": d["sup_top"],
+        "sup_mid": d["sup_mid"],
+        "interior_max_most_negative_t": trend[0] if trend else float("nan"),
+        "antimaximum_worst_max": max(st["max"] for st in d["antimaximum"].values())}
 
 
-def _run_t16(spec: CheckSpec) -> CheckResult:
-    g = _grid(spec)
+def _run_t16(spec: CheckSpec) -> tuple[bool, dict]:
+    g = spec.grid
     fam, d0 = br.make_teo6_family(g)
     rep = br.uniqueness_probe_teo6(fam, g, seed=spec.seed, d0=d0)
     worst = max(c["n_solutions"] for c in rep["cases"])
-    return CheckResult(
-        "T1.6", "Pass" if rep["all_unique"] else "Fail",
-        "both eigenvalues slightly negative (within the half-domain gap "
-        "margin): every right-hand side admits at most one solution across "
-        "start basins",
-        {"d0": rep["d0"], "lam_plus": rep["lam_plus"], "lam_minus": rep["lam_minus"],
-         "n_cases": float(len(rep["cases"])), "max_solutions_per_case": float(worst)})
+    return rep["all_unique"], {
+        "d0": rep["d0"], "lam_plus": rep["lam_plus"], "lam_minus": rep["lam_minus"],
+        "n_cases": float(len(rep["cases"])), "max_solutions_per_case": float(worst)}
 
 
-def _run_t21(spec: CheckSpec) -> CheckResult:
-    g = _grid(spec)
+def _run_t21(spec: CheckSpec) -> tuple[bool, dict]:
+    g = spec.grid
     fam = ControlFamily.fucik(5.0, dim=g.dim)
     probe = simplicity_probe(fam, g, seed=spec.seed)
     # isolation evidence: no nontrivial kernel just above the negative eigenvalue
@@ -225,18 +203,13 @@ def _run_t21(spec: CheckSpec) -> CheckResult:
                               [g.zeros(), em.phi * 2.0, em.phi * (-2.0),
                                br.mixed_mode(g) * 2.0])
         nontrivial += sum(1 for u, _ in census if sup_norm(u) > 1e-6)
-    ok = probe["passed"] and nontrivial == 0
-    return CheckResult(
-        "T2.1", "Pass" if ok else "Fail",
-        "the positive eigenfunction is simple: distinct positive starts of the "
-        "inverse iteration land on one function; no nontrivial kernel just "
-        "above the negative eigenvalue",
-        {"eigenfunction_spread": probe["spread"], "spread_tol": probe["tol"],
-         "nontrivial_kernel_hits": float(nontrivial)})
+    return probe["passed"] and nontrivial == 0, {
+        "eigenfunction_spread": probe["spread"], "spread_tol": probe["tol"],
+        "nontrivial_kernel_hits": float(nontrivial)}
 
 
-def _run_t23(spec: CheckSpec) -> CheckResult:
-    g = _grid(spec)
+def _run_t23(spec: CheckSpec) -> tuple[bool, dict]:
+    g = spec.grid
     lap = ControlFamily.laplacian(g.dim)
     op = DiscreteOperator(lap, g, 0.0)
     u_minus1, _ = solve(op, g.ones() * (-1.0))
@@ -264,30 +237,20 @@ def _run_t23(spec: CheckSpec) -> CheckResult:
                 g, np.abs(base), check_finite=False), "-").ratio)
     ok = comparison.holds and u_minus1.min() > 0 and abs(abp.ratio) < np.inf \
         and worst_violation <= 1e-8
-    return CheckResult(
-        "T2.3", "Pass" if ok else "Fail",
-        "one-sided bound and comparison: F[u] <= F[v] forces u >= v when the "
-        "positive eigenvalue is positive; sup of the adverse part of u is "
-        "controlled by the forcing norm (empirical constant recorded)",
-        {"parabola_min": u_minus1.min(), "abp_ratio_f1": abp.ratio,
-         "comparison_worst_violation": worst_violation,
-         "abp_worst_ratio": worst_ratio})
+    return ok, {
+        "parabola_min": u_minus1.min(), "abp_ratio_f1": abp.ratio,
+        "comparison_worst_violation": worst_violation,
+        "abp_worst_ratio": worst_ratio}
 
 
-def _run_t24(spec: CheckSpec) -> CheckResult:
-    g = _grid(spec)
+def _run_t24(spec: CheckSpec) -> tuple[bool, dict]:
+    g = spec.grid
     fam = ControlFamily.fucik(5.0, dim=g.dim)
     ep = principal_eigen(fam, g, "+")
     em = principal_eigen(fam, g, "-")
     hopf = _hopf_boundary_ratio(ep.phi)
-    ok = ep.phi.min() > 0 and em.phi.max() < 0 and hopf > 0
-    return CheckResult(
-        "T2.4", "Pass" if ok else "Fail",
-        "strong positivity: the positive eigenfunction is strictly positive at "
-        "every interior node and its boundary-adjacent values scale like the "
-        "spacing (discrete interior normal derivative bounded below)",
-        {"min_phi_plus": ep.phi.min(), "max_phi_minus": em.phi.max(),
-         "hopf_ratio": hopf})
+    return ep.phi.min() > 0 and em.phi.max() < 0 and hopf > 0, {
+        "min_phi_plus": ep.phi.min(), "max_phi_minus": em.phi.max(), "hopf_ratio": hopf}
 
 
 def _hopf_boundary_ratio(phi: GridFunction) -> float:
@@ -306,8 +269,8 @@ def _hopf_boundary_ratio(phi: GridFunction) -> float:
     return float(min(vals))
 
 
-def _run_l28(spec: CheckSpec) -> CheckResult:
-    g = _grid(spec)
+def _run_l28(spec: CheckSpec) -> tuple[bool, dict]:
+    g = spec.grid
     t0, t1, k = 0.0, 2.0, 0.5
     cfg = br.BranchConfig(ControlFamily.fucik(5.0, dim=g.dim), g, 0.0, (t0, t1 + 1.0))
     ctx = br.prepare(cfg)
@@ -319,15 +282,11 @@ def _run_l28(spec: CheckSpec) -> CheckResult:
     excess = float((op.apply_flat(mix.values) - rhs_mix.values).max())
     scale = 1.0 + max(sup_norm(u0), sup_norm(u1))
     ok = r0.converged and r1.converged and excess <= 1e-10 * scale
-    return CheckResult(
-        "L2.8", "Pass" if ok else "Fail",
-        "convex combinations of solutions are supersolutions: "
-        "F_h[k*u1 + (1-k)*u0] <= k*rhs1 + (1-k)*rhs0 pointwise",
-        {"supersolution_excess": excess, "slack": 1e-10 * scale})
+    return ok, {"supersolution_excess": excess, "slack": 1e-10 * scale}
 
 
-def _run_p44(spec: CheckSpec) -> CheckResult:
-    g = _grid(spec)
+def _run_p44(spec: CheckSpec) -> tuple[bool, dict]:
+    g = spec.grid
     fam = ControlFamily.fucik(3.0, dim=g.dim)
     em = principal_eigen(fam, g, "-")
     ep = principal_eigen(fam, g, "+")
@@ -335,56 +294,83 @@ def _run_p44(spec: CheckSpec) -> CheckResult:
     probe = br.antimaximum_probe(DiscreteOperator(fam, g, lam), ep.phi, 0.1)
     maxima = [st["max"] for st in probe.values() if st["converged"]]
     worst = max(maxima, default=-np.inf)
-    ok = len(maxima) == len(probe) and worst < 0
-    return CheckResult(
-        "P4.4", "Pass" if ok else "Fail",
-        "antimaximum: just above the negative eigenvalue, nonpositive forcing "
-        "k*f (f <= 0, k > 0) produces strictly negative solutions",
-        {"worst_max": worst, "lam": lam, "lam_minus": em.lam})
+    return len(maxima) == len(probe) and worst < 0, {
+        "worst_max": worst, "lam": lam, "lam_minus": em.lam}
 
 
-def _run_p61(spec: CheckSpec) -> CheckResult:
-    g = _grid(spec)
+def _run_p61(spec: CheckSpec) -> tuple[bool, dict]:
+    g = spec.grid
     lam_full, lam_sub = subdomain_gap(ControlFamily.laplacian(g.dim), g)
     ratio = lam_sub / lam_full if lam_full != 0 else float("inf")
-    ok = lam_sub > lam_full
-    return CheckResult(
-        "P6.1", "Pass" if ok else "Fail",
-        "restricting the domain raises the positive principal eigenvalue by a "
-        "strictly positive gap (half-domain mask)",
-        {"lam_full": lam_full, "lam_sub": lam_sub, "gap": lam_sub - lam_full,
-         "ratio": ratio})
+    return lam_sub > lam_full, {
+        "lam_full": lam_full, "lam_sub": lam_sub, "gap": lam_sub - lam_full, "ratio": ratio}
 
 
-_RUNNERS = {
-    "T1.1": _run_t11, "T1.2": _run_t12, "T1.3": _run_t13, "T1.4": _run_t14,
-    "T1.5": _run_t15, "T1.6": _run_t16, "T2.1": _run_t21, "T2.3": _run_t23,
-    "T2.4": _run_t24, "L2.8": _run_l28, "P4.4": _run_p44, "P6.1": _run_p61,
+# The battery: check id -> (the invariant its runner evaluates, the runner).
+_CHECKS = {
+    "T1.1": ("subcritical branch: t1 < t2 implies u(t1) > u(t2) pointwise; "
+             "t -> u_t(x) convex; u > 0 at the low end and u < 0 at the high end",
+             _run_t11),
+    "T1.2": ("at the positive principal eigenvalue the branch exists only above a "
+             "critical t*; solutions unique above t*; bounded alternative carries "
+             "the ray u* + s*phi^+; large-t solutions negative", _run_t12),
+    "T1.3": ("between the eigenvalues: no solution below the fold t*, at least two "
+             "distinct solutions above, a decreasing convex minimal branch", _run_t13),
+    "T1.4": ("at the negative principal eigenvalue: no solution below t*, "
+             "solutions above; large-norm solutions near t* negative with "
+             "interior max decreasing; t* brackets monotone over the gap ladder",
+             _run_t14),
+    "T1.5": ("slightly above the negative eigenvalue: solutions exist for every t; "
+             "sup u grows with t; solutions negative for very negative t with "
+             "interior max diverging down; antimaximum forcing gives u < 0", _run_t15),
+    "T1.6": ("both eigenvalues slightly negative (within the half-domain gap "
+             "margin): every right-hand side admits at most one solution across "
+             "start basins", _run_t16),
+    "T2.1": ("the positive eigenfunction is simple: distinct positive starts of the "
+             "inverse iteration land on one function; no nontrivial kernel just "
+             "above the negative eigenvalue", _run_t21),
+    "T2.3": ("one-sided bound and comparison: F[u] <= F[v] forces u >= v when the "
+             "positive eigenvalue is positive; sup of the adverse part of u is "
+             "controlled by the forcing norm (empirical constant recorded)", _run_t23),
+    "T2.4": ("strong positivity: the positive eigenfunction is strictly positive at "
+             "every interior node and its boundary-adjacent values scale like the "
+             "spacing (discrete interior normal derivative bounded below)", _run_t24),
+    "L2.8": ("convex combinations of solutions are supersolutions: "
+             "F_h[k*u1 + (1-k)*u0] <= k*rhs1 + (1-k)*rhs0 pointwise", _run_l28),
+    "P4.4": ("antimaximum: just above the negative eigenvalue, nonpositive forcing "
+             "k*f (f <= 0, k > 0) produces strictly negative solutions", _run_p44),
+    "P6.1": ("restricting the domain raises the positive principal eigenvalue by a "
+             "strictly positive gap (half-domain mask)", _run_p61),
 }
+THEOREM_IDS = tuple(_CHECKS)
 
 
 def default_suite(grid: Grid | None = None, seed: int = 0) -> list[CheckSpec]:
-    """One spec per check id on the standard interval grid."""
-    g = grid or build_grid(1, (0.0, 1.0), 199)
-    return [CheckSpec(tid, grid=g, seed=seed) for tid in THEOREM_IDS]
+    """One spec per check id on ``grid`` (default: see ``CheckSpec``)."""
+    return [CheckSpec(tid, grid=grid, seed=seed) for tid in THEOREM_IDS]
 
 
 def run_suite(specs: list[CheckSpec]) -> list[CheckResult]:
     """Run the specs in order; results are sorted by theorem id.
 
-    A failed invariant, or a runner aborted by a solver error, gives a
-    Fail result; a spec/regime mismatch raises ``ConfigurationError``.
+    Each spec gives one row with the invariant from the check table: Pass
+    or Fail as the runner reports, or a Fail "runner aborted" row when a
+    solver error stops it. A spec whose grid puts lam outside the regime
+    its check is about (T1.1, T1.3, T1.5) raises ``ConfigurationError``.
     """
     results = []
     for spec in specs:
+        invariant, run = _CHECKS[spec.theorem_id]
         try:
-            result = _RUNNERS[spec.theorem_id](spec)
+            ok, metrics = run(spec)
         except ConfigurationError:
             raise  # spec/regime mismatch: an error, not a Fail result
         except HJBError as exc:
-            result = CheckResult(spec.theorem_id, "Fail",
-                                 "runner aborted", {}, [], str(exc))
-        results.append(result)
+            results.append(CheckResult(spec.theorem_id, "Fail",
+                                       "runner aborted", {}, [], str(exc)))
+            continue
+        results.append(CheckResult(spec.theorem_id, "Pass" if ok else "Fail",
+                                   invariant, metrics))
     return sorted(results, key=lambda r: (r.theorem_id, r.status))
 
 

@@ -109,8 +109,6 @@ class ControlFamily:
 
     kind: str
     controls: tuple[ControlCoeffs, ...]
-    envelope: Envelope
-    dim: int
     is_convex: bool = True
 
     def __post_init__(self):
@@ -118,16 +116,20 @@ class ControlFamily:
             raise ConfigurationError(f"unknown family kind {self.kind!r}")
         if not self.controls:
             raise ConfigurationError("control list must be nonempty")
-        for c in self.controls:
-            if c.dim != self.dim:
-                raise ConfigurationError("control dimension mismatch")
-            diag = c.diag_diffusion()
-            if diag.min() < self.envelope.lam_ell - 1e-12 or diag.max() > self.envelope.Lam_ell + 1e-12:
-                raise ConfigurationError("control diffusion escapes the envelope")
-            if np.linalg.norm(c.drift) > self.envelope.gamma + 1e-12:
-                raise ConfigurationError("control drift escapes the envelope")
-            if abs(c.zeroth) > self.envelope.delta + 1e-12:
-                raise ConfigurationError("control zeroth coefficient escapes the envelope")
+        if any(c.dim != self.dim for c in self.controls):
+            raise ConfigurationError("control dimension mismatch")
+
+    @property
+    def dim(self) -> int:
+        return self.controls[0].dim
+
+    @property
+    def envelope(self) -> Envelope:
+        """The tightest bounds that hold for every control."""
+        diags = np.concatenate([c.diag_diffusion() for c in self.controls])
+        gamma = max(float(np.linalg.norm(c.drift)) for c in self.controls)
+        delta = max(abs(c.zeroth) for c in self.controls)
+        return Envelope(float(diags.min()), float(diags.max()), gamma, delta)
 
     # -- constructors -------------------------------------------------
 
@@ -138,7 +140,7 @@ class ControlFamily:
         if np.isscalar(diffusion):
             diffusion = np.eye(dim) * float(diffusion)
         ctrl = ControlCoeffs.make(diffusion, drift, zeroth)
-        return cls("linear", (ctrl,), cls._tight_envelope([ctrl]), ctrl.dim)
+        return cls("linear", (ctrl,))
 
     @classmethod
     def laplacian(cls, dim=1) -> "ControlFamily":
@@ -149,7 +151,7 @@ class ControlFamily:
         ctrls = tuple(
             c if isinstance(c, ControlCoeffs) else ControlCoeffs.make(*c) for c in controls
         )
-        return cls("finite_sup", ctrls, cls._tight_envelope(ctrls), ctrls[0].dim)
+        return cls("finite_sup", ctrls)
 
     @classmethod
     def fucik(cls, b_plus: float, b_minus: float = 0.0, dim: int = 1) -> "ControlFamily":
@@ -166,37 +168,31 @@ class ControlFamily:
             ControlCoeffs.make(eye, zero, float(b_plus)),
             ControlCoeffs.make(eye, zero, float(b_minus)),
         )
-        return cls("fucik", ctrls, cls._tight_envelope(ctrls), dim)
+        return cls("fucik", ctrls)
 
     @classmethod
     def pucci_plus(cls, lam_ell: float, Lam_ell: float, dim: int = 1) -> "ControlFamily":
         """M+ over [lam_ell, Lam_ell]: the sup over the diagonal controls."""
-        env = Envelope(float(lam_ell), float(Lam_ell), 0.0, 0.0)
-        return cls._diagonal("pucci_plus", env, (env.Lam_ell, env.lam_ell), dim)
+        return cls._diagonal("pucci_plus", lam_ell, Lam_ell, dim)
 
     @classmethod
     def pucci_minus(cls, lam_ell: float, Lam_ell: float, dim: int = 1) -> "ControlFamily":
         """M- over [lam_ell, Lam_ell]: the inf over the diagonal controls."""
-        env = Envelope(float(lam_ell), float(Lam_ell), 0.0, 0.0)
-        return cls._diagonal("pucci_minus", env, (env.lam_ell, env.Lam_ell), dim).mirror()
+        return cls._diagonal("pucci_minus", lam_ell, Lam_ell, dim).mirror()
 
     @classmethod
-    def _diagonal(cls, kind: str, env: Envelope, weights: tuple[float, float],
+    def _diagonal(cls, kind: str, lam_ell: float, Lam_ell: float,
                   dim: int) -> "ControlFamily":
-        """The 2^dim diagonal controls with entries in ``weights``. The
-        first control wins a tie, so an axis whose second difference is
-        zero takes weights[0], the coefficient of (D2u)^+."""
+        """The 2^dim diagonal controls with entries in {lam_ell, Lam_ell}.
+        The first control wins a tie, so an axis whose second difference is
+        zero takes the coefficient of (D2u)^+: Lam_ell for M+, lam_ell for M-."""
+        if not 0 < lam_ell <= Lam_ell:
+            raise ConfigurationError("need 0 < lam_ell <= Lam_ell")
+        weights = (Lam_ell, lam_ell) if kind == "pucci_plus" else (lam_ell, Lam_ell)
         zero = np.zeros(dim)
         ctrls = tuple(ControlCoeffs.make(np.diag(w), zero, 0.0)
                       for w in itertools.product(weights, repeat=dim))
-        return cls(kind, ctrls, env, dim)
-
-    @staticmethod
-    def _tight_envelope(ctrls) -> Envelope:
-        diags = np.concatenate([c.diag_diffusion() for c in ctrls])
-        gamma = max(float(np.linalg.norm(c.drift)) for c in ctrls)
-        delta = max(abs(c.zeroth) for c in ctrls)
-        return Envelope(float(diags.min()), float(diags.max()), gamma, delta)
+        return cls(kind, ctrls)
 
     def mirror(self) -> "ControlFamily":
         """The mirror G[u] = -F[-u]: the same controls, the other orientation."""

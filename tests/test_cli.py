@@ -222,6 +222,15 @@ def test_suite_needs_six_nodes_on_first_axis(tmp_path, capsys):
     assert status["P6.1"] == status["T1.6"] == "Pass"
 
 
+@pytest.mark.parametrize("b", [2.0, 3.0])
+def test_suite_outside_the_regimes_of_its_checks_exits_2(tmp_path, capsys, b):
+    data = minimal_scenario()
+    data["grid"]["extents"] = [[0.0, b]]
+    code = cli.main(["suite", write_scenario(tmp_path, data), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_SCHEMA
+    assert "spec/regime mismatch" in capsys.readouterr().err
+
+
 def test_inf_type_family_refused_by_branch_and_tstar(tmp_path, capsys):
     """branch and tstar need a sup-type family; eigen and solve accept
     pucci_minus."""

@@ -492,11 +492,20 @@ def test_fucik_requires_ordered_weights():
         ControlFamily.fucik(1.0, 2.0)
 
 
-def test_envelope_must_dominate_controls():
+def test_envelope_and_dim_come_from_the_controls():
     from hjbranch.operators import Envelope
-    ctrl = ControlCoeffs.make((3.0,), (0.0,), 0.0)
+    # the tightest bounds over each family's controls; Pucci's are its (lam, Lam)
+    want = {"linear": Envelope(1.0, 1.0, 0.0, 0.0), "fucik": Envelope(1.0, 1.0, 0.0, 5.0),
+            "pucci_plus": Envelope(1.0, 2.0, 0.0, 0.0),
+            "pucci_minus": Envelope(1.0, 2.0, 0.0, 0.0)}
+    for dim, families, gamma in ((1, FAMILIES, 0.5), (2, FAMILIES_2D, 0.9)):
+        want["finite_sup"] = Envelope(1.0, 2.0, gamma, 1.0)
+        for name, fam in families.items():
+            assert (name, fam.envelope, fam.dim) == (name, want[name], dim)
     with pytest.raises(ConfigurationError):
-        ControlFamily("linear", (ctrl,), Envelope(1.0, 2.0, 0.0, 0.0), 1)
+        ControlFamily.pucci_plus(2.0, 1.0)
+    with pytest.raises(ConfigurationError):
+        ControlFamily.pucci_minus(2.0, 1.0, dim=2)
 
 
 def test_argmax_tie_breaks_to_lowest_index(grid199):

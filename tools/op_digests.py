@@ -19,10 +19,11 @@ the exit-4 fallback), ``eigen`` on 2D copies of ``fucik_fold`` and
 ``laplacian_eigen`` and ``pucci_eigen`` at n=1599, a grid whose rounding floor
 lies above the eigen residual target's 1e-9, and ``branch`` then ``diagram``
 in one output directory on the shipped ``fucik_fold`` and ``resonance_minus``
-(the diagram reads back the branch CSVs and ``tstar.json``). Its ``ok`` means
-exit 0; the digest covers the exit code, standard error and every output file
-except ``run.json`` (after ``diagram``, the branch files too). It does not
-depend on ``--seed``.
+(the diagram reads back the branch CSVs and ``tstar.json``), and ``suite`` at
+seed 7 on a 2D copy of ``laplacian_eigen`` on [0, 1.5]^2 at 11^2, the one run
+of the check battery on a 2D grid. Its ``ok`` means exit 0; the digest covers
+the exit code, standard error and every output file except ``run.json``
+(after ``diagram``, the branch files too). It does not depend on ``--seed``.
 """
 
 from __future__ import annotations
@@ -83,6 +84,11 @@ def cli_lines(smoke: bool, workdir: Path) -> list[str]:
         data = json.loads((shipped / f"{name}.json").read_text(encoding="utf-8"))
         for command in ("branch", "diagram"):
             cases.append((f"{command} {name}", command, data, f"{name}-branch"))
+    data = json.loads((shipped / "laplacian_eigen.json").read_text(encoding="utf-8"))
+    data["grid"] = {"dim": 2, "extents": [[0.0, 1.5], [0.0, 1.5]], "n": [11, 11]}
+    data["family"]["dim"] = 2
+    data["seeds"] = [7]
+    cases.append(("suite laplacian_eigen 1.5^2 11x11 seed=7", "suite", data, None))
     workdir.mkdir(parents=True)
     lines = []
     for i, (label, command, data, shared_out) in enumerate(cases):
