@@ -1,7 +1,8 @@
 """Tracing the solution set of F_h[u] + lam*u = t*phi_1^+ + h over t.
 
 The solution set is explored in the regime the spectral position of lam
-dictates (``BranchContext.regime`` names it):
+dictates; ``BranchContext.regime`` names it, and each driver first asks
+the one gate ``BranchContext.require`` for its regime, before any solve:
 
 * strictly below lam_1^+: a single decreasing convex curve, swept
   directly with warm starts (``sweep_subcritical``);
@@ -44,6 +45,7 @@ from .errors import (
     FoldTraceError,
     OrderingViolationError,
     RegimeError,
+    RegimeMismatchError,
     UnstableDetectionError,
 )
 from .grids import (
@@ -70,6 +72,7 @@ from .operators import ControlFamily, DiscreteOperator, TwoPolicyFactors
 AT_LAM_PLUS = "at_lam_plus"
 AT_LAM_MINUS = "at_lam_minus"
 _N_RHS = 10  # seeded right-hand sides of the Teo6 uniqueness probe
+_RESONANCE_REGIMES = {"+": "resonance_plus", "-": "resonance_minus"}
 
 
 @dataclass
@@ -184,6 +187,19 @@ class BranchContext:
         that ``sweep_negative_regime`` explores, as (open, closed) ends."""
         lam_minus = self.eig_minus.lam
         return lam_minus, lam_minus + 0.05 * max(abs(lam_minus), 1.0)
+
+    def require(self, *regimes: str) -> None:
+        """The one regime gate of the exploration modes: raise
+        ``RegimeMismatchError`` unless ``regime`` is among ``regimes``;
+        'negative' also needs lam inside ``negative_window``."""
+        lo, hi = self.negative_window
+        beyond = self.regime == "negative" and self.lam > hi
+        if self.regime not in regimes or beyond:
+            where = f" beyond lam_1^- + {hi - lo:.3g}" if beyond else ""
+            raise RegimeMismatchError(
+                f"lam: needs the {' or '.join(regimes)} regime, got the {self.regime} "
+                f"regime{where} (lam_1^+ / lam / lam_1^- = {self.eig_plus.lam} / {self.lam} "
+                f"/ {self.eig_minus.lam})")
 
     @property
     def resonance_sign(self) -> str | None:
@@ -313,9 +329,7 @@ def _ordering(points: list[BranchPoint]) -> dict:
 def sweep_subcritical(cfg: BranchConfig, ctx: BranchContext | None = None) -> Branch:
     """Sweep the unique decreasing convex solution curve for lam < lam_1^+."""
     ctx = ctx or prepare(cfg)
-    if not ctx.eig_plus.lam - ctx.lam > 0:
-        raise RegimeError(
-            f"subcritical sweep needs lam < lam_1^+ = {ctx.eig_plus.lam}, got {ctx.lam}")
+    ctx.require("subcritical")
     op = ctx.operator()
     ts = np.linspace(cfg.t_range[0], cfg.t_range[1], cfg.n_samples)
     points = _sweep(ctx, op, ts, lambda t: ctx.ladder(abs(t) + 1.0), "subcritical sweep")
@@ -366,7 +380,7 @@ def locate_tstar_resonance(cfg: BranchConfig, sign: str,
 
     At each gap eps_k the problem is solved off resonance and bisection
     separates blown-up from bounded responses; the boundary sequence is
-    extrapolated over the ladder. ``sign`` must match ``ctx.regime``.
+    extrapolated over the ladder. lam must sit at lam_1^(sign).
     """
     ctx = ctx or prepare(cfg)
     if ctx.is_degenerate:
@@ -375,11 +389,7 @@ def locate_tstar_resonance(cfg: BranchConfig, sign: str,
             "modes are refused for such families")
     if sign not in ("+", "-"):
         raise ConfigurationError("sign must be '+' or '-'")
-    if sign != ctx.resonance_sign:
-        raise RegimeError(
-            f"resonance sign {sign!r} needs lam at lam_1^{sign}; lam = {ctx.lam} is in "
-            f"the {ctx.regime} regime (lam_1^+ = {ctx.eig_plus.lam}, "
-            f"lam_1^- = {ctx.eig_minus.lam})")
+    ctx.require(_RESONANCE_REGIMES[sign])
     lam_star = ctx.eig_plus.lam if sign == "+" else ctx.eig_minus.lam
     phi_dir = ctx.eig_plus.phi if sign == "+" else ctx.eig_minus.phi
     t_lo0, t_hi0 = cfg.t_range
@@ -512,8 +522,8 @@ def trace_resonant_branch(cfg: BranchConfig, crit: CriticalReport,
     """Sample the solution curve at exact resonance above t*.
 
     ``crit`` is the report of ``locate_tstar_resonance``: its kind gives
-    the eigenvalue, t* is ``crit.t_star`` and the ray checks are held to
-    a tolerance tied to the half-width of ``crit.bracket``.
+    the eigenvalue lam must sit at, t* is ``crit.t_star`` and the ray
+    checks are held to a tolerance tied to the half-width of ``crit.bracket``.
 
     sign '+': warm sweep down to t* with uniqueness probes, then the
     bounded/unbounded dichotomy is classified; in the bounded case the
@@ -532,6 +542,7 @@ def trace_resonant_branch(cfg: BranchConfig, crit: CriticalReport,
     ctx = ctx or prepare(cfg)
     if ctx.is_degenerate:
         raise RegimeError("resonance tracing refused for spectrally degenerate families")
+    ctx.require(_RESONANCE_REGIMES[sign])
     lam = ctx.eig_plus.lam if sign == "+" else ctx.eig_minus.lam
     op = ctx.operator(lam)
     phi_plus = ctx.eig_plus.phi
@@ -738,10 +749,7 @@ def trace_fold(cfg: BranchConfig, ctx: BranchContext | None = None
     """Minimal branch, second branch and the fold for lam between the
     eigenvalues."""
     ctx = ctx or prepare(cfg)
-    if not (ctx.eig_plus.lam < ctx.lam < ctx.eig_minus.lam):
-        raise RegimeError(
-            f"fold regime needs lam_1^+ < lam < lam_1^-; got {ctx.eig_plus.lam} "
-            f"/ {ctx.lam} / {ctx.eig_minus.lam}")
+    ctx.require("fold")
     op = ctx.operator()
     t_min, t_max = cfg.t_range
     minimal_points, fail_bracket = _minimal_branch(
@@ -982,14 +990,9 @@ def sweep_negative_regime(cfg: BranchConfig, ctx: BranchContext | None = None) -
     exist for every t; checks negativity for very negative t, growth of
     sup u for large t and the antimaximum property."""
     ctx = ctx or prepare(cfg)
-    lam = ctx.lam
-    lo, hi = ctx.negative_window
-    if not lo < lam <= hi:
-        raise RegimeError(
-            f"negative-regime sweep needs lam in (lam_1^-, lam_1^- + {hi - lo:.3g}]; "
-            f"lam_1^- = {lo}, got {lam}")
+    ctx.require("negative")
     op = ctx.operator()
-    gap = lam - ctx.eig_minus.lam
+    gap = ctx.lam - ctx.eig_minus.lam
     phi = ctx.eig_plus.phi
 
     def fallback(t: float) -> list[GridFunction | None]:
@@ -1034,7 +1037,7 @@ def sweep_negative_regime(cfg: BranchConfig, ctx: BranchContext | None = None) -
     bad = [k for k, st in antimax.items() if not st["max"] < 0]  # NaN fails too
     if bad:
         raise RegimeError(f"antimaximum check failed for k={bad}")
-    return Branch(points, ref, lam, diagnostics)
+    return Branch(points, ref, ctx.lam, diagnostics)
 
 
 def antimaximum_probe(op: DiscreteOperator, phi: GridFunction, gap: float) -> dict:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import branches as br
 from .eigen import principal_eigen, simplicity_probe, subdomain_gap
-from .errors import ConfigurationError, HJBError
+from .errors import ConfigurationError, HJBError, RegimeMismatchError
 from .grids import Grid, GridFunction, build_grid, sup_norm
 from .howard import (
     basin_census,
@@ -58,29 +58,13 @@ def _laplacian_lam_plus(grid: Grid) -> float:
     return principal_eigen(ControlFamily.laplacian(grid.dim), grid, "+").lam
 
 
-def _prepare_in(regime: str, cfg: br.BranchConfig, spec: CheckSpec) -> br.BranchContext:
-    """Prepare ``cfg``; raise ``ConfigurationError`` unless its lam sits in
-    ``regime``, and for 'negative' inside ``negative_window`` too: off it the
-    check's statement does not apply, so there is nothing to pass or fail."""
-    ctx = br.prepare(cfg)
-    got = ctx.regime
-    lo, hi = ctx.negative_window
-    if got == "negative" and ctx.lam > hi:
-        got = f"negative beyond lam_1^- + {hi - lo:.3g}"
-    if got != regime:
-        raise ConfigurationError(
-            f"{spec.theorem_id} spec/regime mismatch: needs the {regime} regime, got {got} "
-            f"with lam_1^+ / lam / lam_1^- = {ctx.eig_plus.lam} / {ctx.lam} / {ctx.eig_minus.lam}")
-    return ctx
-
-
 # --- individual runners: each returns (invariant holds, metrics) -----------
 
 
 def _run_t11(spec: CheckSpec) -> tuple[bool, dict]:
     g = spec.grid
     cfg = br.BranchConfig(ControlFamily.fucik(5.0, dim=g.dim), g, 0.0, (-5.0, 5.0), 21)
-    branch = br.sweep_subcritical(cfg, _prepare_in("subcritical", cfg, spec))
+    branch = br.sweep_subcritical(cfg)
     lo, hi = branch.points[0], branch.points[-1]
     # sweep_subcritical raises unless the branch strictly decreases and is convex
     return lo.u.min() > 0 and hi.u.max() < 0, {
@@ -114,7 +98,7 @@ def _run_t12(spec: CheckSpec) -> tuple[bool, dict]:
 def _run_t13(spec: CheckSpec) -> tuple[bool, dict]:
     g = spec.grid
     cfg = br.BranchConfig(ControlFamily.fucik(15.0, dim=g.dim), g, 0.0, (-1.0, 3.0), 17)
-    ctx = _prepare_in("fold", cfg, spec)
+    ctx = br.prepare(cfg)
     minimal, second, crit = br.trace_fold(cfg, ctx)
     op = ctx.operator()
     census = basin_census(op, ctx.rhs(1.0), ctx.ladder(2.0), distinct_gap=1e-4)
@@ -165,7 +149,7 @@ def _run_t15(spec: CheckSpec) -> tuple[bool, dict]:
     fam, h_fun = _resonance_minus_family(g)
     cfg = br.BranchConfig(fam, g, br.AT_LAM_MINUS, (-100.0, 100.0), 21, h_fun=h_fun,
                           lam_offset=0.1)
-    branch = br.sweep_negative_regime(cfg, _prepare_in("negative", cfg, spec))
+    branch = br.sweep_negative_regime(cfg)
     d = branch.diagnostics
     interior = d["interior_max"]
     neg_ts = sorted(t for t in interior if t < 0)[:3]
@@ -356,15 +340,19 @@ def run_suite(specs: list[CheckSpec]) -> list[CheckResult]:
     Each spec gives one row with the invariant from the check table: Pass
     or Fail as the runner reports, or a Fail "runner aborted" row when a
     solver error stops it. A spec whose grid puts lam outside the regime
-    its check is about (T1.1, T1.3, T1.5) raises ``ConfigurationError``.
+    its check is about (T1.1, T1.3, T1.5) re-raises its driver's
+    ``RegimeMismatchError`` prefixed "<id> spec/regime mismatch: ".
     """
     results = []
     for spec in specs:
         invariant, run = _CHECKS[spec.theorem_id]
         try:
             ok, metrics = run(spec)
+        except RegimeMismatchError as exc:
+            raise RegimeMismatchError(
+                f"{spec.theorem_id} spec/regime mismatch: {exc}") from exc
         except ConfigurationError:
-            raise  # spec/regime mismatch: an error, not a Fail result
+            raise
         except HJBError as exc:
             results.append(CheckResult(spec.theorem_id, "Fail",
                                        "runner aborted", {}, [], str(exc)))

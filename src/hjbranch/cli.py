@@ -6,9 +6,9 @@ all defaults echoed back into the run log). Subcommands:
     eigen | solve | branch | tstar | suite | diagram  <scenario> --out DIR
 
 Exit codes: 0 success, 1 assertion failure (suite check failed),
-2 schema/configuration error (also a scenario, output directory or
-earlier output that cannot be read or created), 3 inadmissible
-discretization (CFL), 4 solver/regime/runtime error.
+2 schema/configuration error (also a lam outside the command's regime
+and a scenario, output directory or earlier output that cannot be read
+or created), 3 inadmissible discretization (CFL), 4 solver/regime/runtime error.
 """
 
 from __future__ import annotations
@@ -371,11 +371,6 @@ def _prepare(sc: Scenario) -> tuple[br.BranchConfig, br.BranchContext]:
 
 def _cmd_branch(sc: Scenario, out: Path) -> int:
     cfg, ctx = _prepare(sc)
-    if ctx.regime == "negative":
-        lo, hi = ctx.negative_window
-        if not lo < ctx.lam <= hi:
-            raise _err("lam", f"branch above lam_1^- needs lam in ({lo}, {hi}], the "
-                       f"window of the negative-regime sweep; got {ctx.lam}")
     summary: dict = {"regime": ctx.regime, "lam": ctx.lam,
                      "grid": cfg.grid,
                      "lam_plus": ctx.eig_plus.lam, "lam_minus": ctx.eig_minus.lam}
@@ -411,9 +406,7 @@ def _cmd_branch(sc: Scenario, out: Path) -> int:
 
 def _cmd_tstar(sc: Scenario, out: Path) -> int:
     cfg, ctx = _prepare(sc)
-    if ctx.resonance_sign is None:
-        raise _err("lam", f"tstar needs lam at lam_1^+ = {ctx.eig_plus.lam} or lam_1^- = "
-                   f"{ctx.eig_minus.lam}, got {ctx.lam} ({ctx.regime} regime)")
+    ctx.require("resonance_plus", "resonance_minus")
     crit = br.locate_tstar_resonance(cfg, ctx.resonance_sign, ctx)
     write_json(out / "tstar.json", crit)
     write_csv(out / "evidence.csv", ["eps", "t", "sup_norm", "eigdir_cosine"],

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto its exit-code contract: configuration/schema
-problems exit 2, inadmissible discretizations exit 3, runtime failures
-(solver, regime, bracket) exit 4.
+problems and regime mismatches exit 2, inadmissible discretizations
+exit 3, runtime failures (solver, regime, bracket) exit 4.
 """
 
 
@@ -39,8 +39,12 @@ class BracketError(HJBError):
 
 
 class RegimeError(HJBError):
-    """Spectral regime precondition violated, or existence failed where
-    the configured regime guarantees it."""
+    """Existence failed where the configured regime guarantees it, or the
+    spectrum breaks a precondition (eigenvalue ordering, degeneracy)."""
+
+
+class RegimeMismatchError(ConfigurationError, RegimeError):
+    """lam sits outside the regime a mode needs (``BranchContext.require``)."""
 
 
 class FoldTraceError(HJBError):

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import discrete_lam1
 import hjbranch.branches
-from hjbranch.errors import ConfigurationError, RegimeError
+from hjbranch.errors import ConfigurationError, RegimeError, RegimeMismatchError
 from hjbranch.grids import GridFunction, build_grid, sup_norm
 from hjbranch.branches import (
     AT_LAM_MINUS,
@@ -159,6 +159,51 @@ def test_trace_resonant_branch_refuses_fold_report():
     crit = CriticalReport(0.0, (-1e-4, 1e-4), "Fold")
     with pytest.raises(RegimeError, match="'Fold'"):
         trace_resonant_branch(_resonance_minus_cfg(), crit)
+
+
+def _count_solves(monkeypatch) -> list:
+    calls = []
+    monkeypatch.setattr(hjbranch.branches, "solve_with_starts",
+                        lambda *args, **kwargs: calls.append(args))
+    return calls
+
+
+def test_trace_resonant_branch_refuses_a_context_off_its_resonance(monkeypatch):
+    # lam = lam_1^+ - 1 = -5: the subcritical regime, not the report's resonance
+    cfg = _resonance_minus_cfg(AT_LAM_PLUS, -1.0)
+    calls = _count_solves(monkeypatch)
+    crit = CriticalReport(0.0, (-1e-4, 1e-4), "ResonancePlus")
+    with pytest.raises(RegimeMismatchError,
+                       match="^lam: needs the resonance_plus regime, got the subcritical regime"):
+        trace_resonant_branch(cfg, crit)
+    assert calls == []
+
+
+# each lam lies inside the resonance band of the eigenvalue it is offset from
+@pytest.mark.parametrize("driver, lam, offset, needed, found", [
+    (sweep_subcritical, AT_LAM_PLUS, -5e-9, "subcritical", "resonance_plus"),
+    (trace_fold, AT_LAM_PLUS, 5e-9, "fold", "resonance_plus"),
+    (sweep_negative_regime, AT_LAM_MINUS, 5e-9, "negative", "resonance_minus"),
+])
+def test_drivers_refuse_the_resonance_band_before_any_solve(monkeypatch, driver, lam, offset,
+                                                            needed, found):
+    cfg = _resonance_minus_cfg(lam, offset)
+    calls = _count_solves(monkeypatch)
+    with pytest.raises(RegimeMismatchError,
+                       match=f"^lam: needs the {needed} regime, got the {found} regime") as exc:
+        driver(cfg)
+    assert isinstance(exc.value, ConfigurationError) and isinstance(exc.value, RegimeError)
+    assert calls == []
+
+
+def test_require_names_the_negative_window():
+    ctx = prepare(_resonance_minus_cfg(AT_LAM_MINUS, 0.5))
+    lo, hi = ctx.negative_window
+    assert ctx.regime == "negative" and ctx.lam > hi
+    with pytest.raises(RegimeMismatchError,
+                       match=f"got the negative regime beyond lam_1\\^- \\+ {hi - lo:.3g} "):
+        ctx.require("negative")
+    assert prepare(_resonance_minus_cfg(AT_LAM_MINUS, 0.1)).require("negative") is None
 
 
 def test_uniqueness_probe_at(grid199, lam_h199):

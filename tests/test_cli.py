@@ -267,7 +267,7 @@ def test_branch_above_negative_window_exits_2_before_any_sweep(tmp_path, capsys,
     def no_sweep(*args):
         raise AssertionError("the sweep ran")
 
-    monkeypatch.setattr(cli.br, "sweep_negative_regime", no_sweep)
+    monkeypatch.setattr("hjbranch.branches._sweep", no_sweep)
     data = json.loads((SCENARIOS / "fucik_subcritical.json").read_text())
     data["lam"] = 20.0  # lam_1^- = 9.87, window (9.87, 10.36]
     out = tmp_path / "br"

@@ -21,9 +21,14 @@ lies above the eigen residual target's 1e-9, and ``branch`` then ``diagram``
 in one output directory on the shipped ``fucik_fold`` and ``resonance_minus``
 (the diagram reads back the branch CSVs and ``tstar.json``), and ``suite`` at
 seed 7 on a 2D copy of ``laplacian_eigen`` on [0, 1.5]^2 at 11^2, the one run
-of the check battery on a 2D grid. Its ``ok`` means exit 0; the digest covers
-the exit code, standard error and every output file except ``run.json``
-(after ``diagram``, the branch files too). It does not depend on ``--seed``.
+of the check battery on a 2D grid. Three refusals close it: ``branch`` on
+``fucik_subcritical`` at lam 20 (above the negative-regime window), ``tstar``
+on ``fucik_subcritical`` at lam 0 (at neither eigenvalue) and ``suite`` on a 1D
+[0, 2] copy of ``laplacian_eigen`` at n=49 (T1.1 outside its regime). Its
+``ok`` means the expected exit code: 2 for the refusals, 0 for the rest; the
+digest covers the exit code, standard error and every output file except
+``run.json`` (after ``diagram``, the branch files too). It does not depend on
+``--seed``.
 """
 
 from __future__ import annotations
@@ -69,29 +74,36 @@ def cli_lines(smoke: bool, workdir: Path) -> list[str]:
     for path in sorted(shipped.glob("*.json")):
         data = json.loads(path.read_text(encoding="utf-8"))
         for t in (-0.5, 1.0):
-            cases.append((f"solve {path.stem} t={t}", "solve", {**data, "solve_t": t}, None))
+            cases.append((f"solve {path.stem} t={t}", "solve", {**data, "solve_t": t}, None, 0))
     n = 15 if smoke else 31
     for name in ("fucik_fold", "pucci_eigen"):
         data = json.loads((shipped / f"{name}.json").read_text(encoding="utf-8"))
         data["grid"] = {"dim": 2, "extents": [[0.0, 1.0], [0.0, 1.0]], "n": [n, n]}
         data["family"]["dim"] = 2
-        cases.append((f"eigen {name} {n}x{n}", "eigen", data, None))
+        cases.append((f"eigen {name} {n}x{n}", "eigen", data, None, 0))
     for name in ("laplacian_eigen", "pucci_eigen"):
         data = json.loads((shipped / f"{name}.json").read_text(encoding="utf-8"))
         data["grid"]["n"] = [1599]
-        cases.append((f"eigen {name} 1599", "eigen", data, None))
+        cases.append((f"eigen {name} 1599", "eigen", data, None, 0))
     for name in ("fucik_fold", "resonance_minus"):
         data = json.loads((shipped / f"{name}.json").read_text(encoding="utf-8"))
         for command in ("branch", "diagram"):
-            cases.append((f"{command} {name}", command, data, f"{name}-branch"))
+            cases.append((f"{command} {name}", command, data, f"{name}-branch", 0))
     data = json.loads((shipped / "laplacian_eigen.json").read_text(encoding="utf-8"))
     data["grid"] = {"dim": 2, "extents": [[0.0, 1.5], [0.0, 1.5]], "n": [11, 11]}
     data["family"]["dim"] = 2
     data["seeds"] = [7]
-    cases.append(("suite laplacian_eigen 1.5^2 11x11 seed=7", "suite", data, None))
+    cases.append(("suite laplacian_eigen 1.5^2 11x11 seed=7", "suite", data, None, 0))
+    data = json.loads((shipped / "fucik_subcritical.json").read_text(encoding="utf-8"))
+    for command, lam in (("branch", 20.0), ("tstar", 0.0)):
+        cases.append((f"{command} fucik_subcritical lam={lam}", command, {**data, "lam": lam},
+                      None, 2))
+    data = json.loads((shipped / "laplacian_eigen.json").read_text(encoding="utf-8"))
+    data["grid"] = {"dim": 1, "extents": [[0.0, 2.0]], "n": [49]}
+    cases.append(("suite laplacian_eigen [0, 2] n=49", "suite", data, None, 2))
     workdir.mkdir(parents=True)
     lines = []
-    for i, (label, command, data, shared_out) in enumerate(cases):
+    for i, (label, command, data, shared_out, expected) in enumerate(cases):
         path, out = workdir / f"{i:02d}.json", workdir / (shared_out or f"{i:02d}")
         path.write_text(json.dumps(data), encoding="utf-8")
         err = io.StringIO()
@@ -101,7 +113,7 @@ def cli_lines(smoke: bool, workdir: Path) -> list[str]:
         for f in sorted(out.rglob("*")):
             if f.is_file() and f.name != "run.json":
                 h.update(f.relative_to(out).as_posix().encode() + b"\0" + f.read_bytes())
-        lines.append(f"cli {i} {label} {'ok' if code == 0 else 'FAIL'} {h.hexdigest()}")
+        lines.append(f"cli {i} {label} {'ok' if code == expected else 'FAIL'} {h.hexdigest()}")
     return lines
 
 
