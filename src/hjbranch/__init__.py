@@ -27,13 +27,7 @@ from .branches import (
     uniqueness_probe_teo6,
 )
 from .checks import CheckResult, CheckSpec, default_suite, emit_traceability, run_suite
-from .eigen import (
-    EigenPair,
-    eigen_bisect_crosscheck,
-    principal_eigen,
-    simplicity_probe,
-    subdomain_gap,
-)
+from .eigen import EigenPair, principal_eigen, simplicity_probe, subdomain_gap
 from .grids import (
     Grid,
     GridFunction,
@@ -51,13 +45,7 @@ from .howard import (
     solve,
     solve_with_starts,
 )
-from .operators import (
-    ControlCoeffs,
-    ControlFamily,
-    DiscreteOperator,
-    Envelope,
-    check_h0_h3,
-)
+from .operators import ControlCoeffs, ControlFamily, DiscreteOperator, Envelope
 
 __all__ = [
     "__version__",
@@ -66,8 +54,8 @@ __all__ = [
     "CriticalReport", "DiscreteOperator", "EigenPair",
     "Envelope", "Grid", "GridFunction",
     "SolveReport", "basin_census", "build_grid",
-    "check_abp", "check_comparison", "check_h0_h3", "default_suite",
-    "eigen_bisect_crosscheck", "eigen_bump", "emit_traceability",
+    "check_abp", "check_comparison", "default_suite",
+    "eigen_bump", "emit_traceability",
     "half_domain_grid", "locate_tstar_resonance", "make_teo6_family",
     "prepare", "principal_eigen", "run_suite",
     "signed_distance", "simplicity_probe", "solve",

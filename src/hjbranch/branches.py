@@ -507,16 +507,6 @@ def _uniqueness_probe(op: DiscreteOperator, f: GridFunction, ctx: BranchContext,
             "max_gap": gap}
 
 
-def uniqueness_probe_at(cfg: BranchConfig, t: float, ctx: BranchContext | None = None
-                        ) -> dict:
-    """Public distant-start agreement probe at one parameter value."""
-    ctx = ctx or prepare(cfg)
-    op = ctx.operator()
-    f = ctx.rhs(t)
-    tol_gap = 10.0 * guard_tol(resolve_tol(sup_norm(f)), op.matrix_scale(), 1.0 + abs(t))
-    return _uniqueness_probe(op, f, ctx, 1.0 + abs(t) + sup_norm(ctx.h), tol_gap)
-
-
 def trace_resonant_branch(cfg: BranchConfig, crit: CriticalReport,
                           ctx: BranchContext | None = None) -> Branch:
     """Sample the solution curve at exact resonance above t*.
@@ -766,7 +756,9 @@ def trace_fold(cfg: BranchConfig, ctx: BranchContext | None = None
     others = [c for c in census if sup_norm(c[0] - u_min_top) > gap_tol]
     if not others:
         raise FoldTraceError("no second solution found at the top of the range")
-    u2 = max(others, key=lambda c: sup_norm(c[0] - u_min_top))[0]
+    # the census may hold sign-changing solutions too (along whose rays d is
+    # not monotone); the second branch is the one aligned with phi_1^+
+    u2 = max(others, key=lambda c: direction_cosine(c[0], ctx.eig_plus.phi))[0]
 
     # reference strictly below both branches makes the d coordinate a
     # decreasing parameter along the folded path

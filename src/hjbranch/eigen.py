@@ -10,10 +10,6 @@ proper shifted operator), so a positive start converges to the positive
 principal pair and a negative start to the negative one. Each inner
 problem is uniquely solvable and handled by policy iteration. The
 negative pair is the positive pair of ``family.mirror()`` with phi negated.
-
-An independent cross-check locates the eigenvalue by bisection on a
-solvability/sign classification, which mirrors the variational
-definition of the eigenvalues instead of the iteration.
 """
 
 from __future__ import annotations
@@ -22,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketError, EigenIterationError, UsageError
-from .grids import Grid, GridFunction, eigen_bump, half_domain_grid, sup_norm
+from .errors import EigenIterationError, UsageError
+from .grids import Grid, GridFunction, half_domain_grid, sup_norm
 from .howard import CONVERGED, guard_tol, solve
 from .operators import ControlFamily, DiscreteOperator, TwoPolicyFactors
 
@@ -104,49 +100,6 @@ def _inverse_iteration(family: ControlFamily, grid: Grid, start: GridFunction,
         lam, u = lam_new, u_new
     raise EigenIterationError(
         f"inverse iteration did not converge in {_MAX_ITERS} iterations")
-
-
-def eigen_bisect_crosscheck(family: ControlFamily, grid: Grid, sign: str,
-                            bracket: tuple[float, float]) -> float:
-    """Locate the principal eigenvalue by 40 bisection steps on a sign
-    classification.
-
-    For sign '+': solve (F + lam)[u] = -phi_probe with a positive probe;
-    lam below the eigenvalue yields a strictly positive solution, above
-    it the solve diverges or the solution loses positivity. Sign '-'
-    mirrors the test with +phi_probe and strictly negative solutions,
-    steering the solver into the negative basin with a start ladder.
-    Entirely independent of inverse iteration.
-    """
-    if sign not in ("+", "-"):
-        raise UsageError("sign must be '+' or '-'")
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise BracketError(f"empty bracket ({lo}, {hi})")
-    probe = eigen_bump(grid)
-
-    def below(lam: float) -> bool:
-        op = DiscreteOperator(family, grid, lam)
-        if sign == "+":
-            u, rep = solve(op, -probe, blowup_norm=1e10)
-            return rep.converged and _sign_ok(u.values, "+")
-        for s in (1.0, 10.0, 100.0):
-            u, rep = solve(op, probe, u0=probe * (-s), blowup_norm=1e10)
-            if rep.converged and _sign_ok(u.values, "-"):
-                return True
-        return False
-
-    if not below(lo):
-        raise BracketError(f"lower bracket endpoint {lo} does not classify below")
-    if below(hi):
-        raise BracketError(f"upper bracket endpoint {hi} does not classify above")
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def subdomain_gap(family: ControlFamily, grid: Grid) -> tuple[float, float]:

@@ -26,10 +26,6 @@ class OrderingViolationError(HJBError):
     """A signed distance was requested for a sign-indefinite difference."""
 
 
-class PropertyFailureError(HJBError):
-    """An exact algebraic property of the stencil failed beyond tolerance."""
-
-
 class EigenIterationError(HJBError):
     """Inverse power iteration lost its sign cone or failed to converge."""
 

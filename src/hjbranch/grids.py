@@ -160,14 +160,28 @@ def sup_norm(u: GridFunction) -> float:
     return float(np.abs(u.values).max())
 
 
+def euclidean_norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)``; where that overflows for a finite x, the norm
+    of x scaled to unit sup norm, scaled back."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+    if np.isfinite(norm) or not np.isfinite(x).all():
+        return norm
+    scale = float(np.abs(x).max())
+    return scale * float(np.linalg.norm(np.asarray(x) / scale))
+
+
 def direction_cosine(u: GridFunction, phi: GridFunction) -> float:
     """Cosine of the angle between u and phi as nodal vectors; 0 if either vanishes."""
     a = u.values
     b = phi.values
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+    na = euclidean_norm(a)
+    nb = euclidean_norm(b)
     if na == 0.0 or nb == 0.0:
         return 0.0
+    if not np.isfinite(na * nb):
+        # the plain product overflows; the unit vectors do not
+        return float(np.dot(a / na, b / nb))
     return float(np.dot(a, b) / (na * nb))
 
 

@@ -78,10 +78,10 @@ def solve(op, f: GridFunction, u0: GridFunction | None = None,
     """Solve F_h[u] = f by policy iteration with damped fallback.
 
     Returns the last iterate together with a report; the caller decides
-    what a non-``Converged`` status means in its regime. A ``Converged``
-    result always satisfies a fresh-residual check against the resolved
-    tolerance. An iterate with sup norm above ``blowup_norm`` ends the
-    run as ``Diverged``.
+    what a non-``Converged`` status means in its regime. The report's
+    ``final_residual`` is the residual of the returned iterate, and a
+    ``Converged`` one is within the resolved tolerance. An iterate with
+    sup norm above ``blowup_norm`` ends the run as ``Diverged``.
     """
     if f.grid != op.grid:
         raise UsageError("right-hand side lives on a different grid")
@@ -153,11 +153,14 @@ def solve(op, f: GridFunction, u0: GridFunction | None = None,
             status = CONVERGED
             break
 
-    out = GridFunction(op.grid, np.where(np.isfinite(u), u, 0.0), check_finite=False)
-    # fresh verification, independent of the inner solves
-    final_resid = float(np.abs(op.apply_flat(out.values) - f_flat).max())
-    if status == CONVERGED and final_resid > eff_tol:
-        status = MAX_ITERS
+    finite = np.isfinite(u)
+    out = GridFunction(op.grid, np.where(finite, u, 0.0), check_finite=False)
+    final_resid = resid
+    if not finite.all():
+        # zeroing the non-finite entries made a new iterate: verify it afresh
+        final_resid = float(np.abs(op.apply_flat(out.values) - f_flat).max())
+        if status == CONVERGED and final_resid > eff_tol:
+            status = MAX_ITERS
     report = SolveReport(status, iters, history, active_changes, eff_tol, final_resid,
                          damping_events)
     return out, report

@@ -3,8 +3,7 @@
 The operator family is F[u] = sup_a { tr(A_a D2u) + b_a . Du + c_a u }
 over a finite control list, or the inf over it when the family's
 ``is_convex`` is false. ``ControlFamily.mirror`` flips that orientation,
-giving the mirror G[u] = -F[-u]; algebraic checks run in the orientation
-of the family (sub- vs super-additivity). Three kinds are built as lists:
+giving the mirror G[u] = -F[-u]. Three kinds are built as lists:
 
 * ``pucci_plus`` / ``pucci_minus``: the extremal operators over the
   ellipticity class [lam, Lam], as the sup (resp. inf) over the 2^dim
@@ -33,13 +32,8 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .errors import (
-    AdmissibilityError,
-    ConfigurationError,
-    PropertyFailureError,
-    UsageError,
-)
-from .grids import Grid, GridFunction
+from .errors import AdmissibilityError, ConfigurationError
+from .grids import Grid, GridFunction, euclidean_norm
 
 KINDS = ("linear", "finite_sup", "fucik", "pucci_plus", "pucci_minus")
 
@@ -127,7 +121,7 @@ class ControlFamily:
     def envelope(self) -> Envelope:
         """The tightest bounds that hold for every control."""
         diags = np.concatenate([c.diag_diffusion() for c in self.controls])
-        gamma = max(float(np.linalg.norm(c.drift)) for c in self.controls)
+        gamma = max(euclidean_norm(c.drift) for c in self.controls)
         delta = max(abs(c.zeroth) for c in self.controls)
         return Envelope(float(diags.min()), float(diags.max()), gamma, delta)
 
@@ -431,11 +425,6 @@ class DiscreteOperator:
         best = vals.max(axis=0) if self.family.is_convex else vals.min(axis=0)
         return best + self.shift * flat
 
-    def apply(self, u: GridFunction) -> GridFunction:
-        if u.grid != self.grid:
-            raise UsageError("grid mismatch between operator and argument")
-        return GridFunction(self.grid, self.apply_flat(u.values), check_finite=False)
-
     def linearize(self, u: GridFunction | np.ndarray) -> Linearization:
         """Linear stencil of the active control at each node: the argmax,
         or the argmin for an inf-type family.
@@ -467,94 +456,3 @@ class DiscreteOperator:
         tolerances; computed once at construction."""
         return self._scale
 
-
-# ---------------------------------------------------------------------------
-# envelope evaluations and algebraic property checks
-# ---------------------------------------------------------------------------
-
-
-def gradient_magnitude_flat(grid: Grid, flat: np.ndarray) -> np.ndarray:
-    """Discrete |Du|: per axis the larger of |forward|, |backward| difference,
-    combined in the Euclidean norm. Chosen so that the Lipschitz sandwich
-    holds exactly for upwinded stencils."""
-    views = _neighbor_views(grid, flat)
-    acc = np.zeros_like(flat)
-    for ax, (plus, minus) in enumerate(views):
-        fwd = np.abs(plus - flat) / grid.h[ax]
-        bwd = np.abs(flat - minus) / grid.h[ax]
-        acc += np.maximum(fwd, bwd) ** 2
-    return np.sqrt(acc)
-
-
-@dataclass
-class PropertyReport:
-    """Max scaled violations of the exact stencil algebra over random trials."""
-
-    kind: str
-    trials: int
-    homogeneity: float
-    additivity: float
-    midpoint: float
-    sandwich: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return max(self.homogeneity, self.additivity, self.midpoint, self.sandwich) <= self.tolerance
-
-
-def check_h0_h3(op: DiscreteOperator, trials: int = 100, seed: int = 0) -> PropertyReport:
-    """Verify positive 1-homogeneity, the difference bound, the midpoint
-    inequality and the extremal-envelope sandwich on seeded random pairs,
-    each to a scaled tolerance of 1e-10.
-
-    Sup-type families are checked as sup-forms; an inf-type family, such
-    as ``pucci_minus`` or any ``mirror()``, is checked in the mirrored
-    (super-additive) orientation.
-    """
-    if trials < 1:
-        raise UsageError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    N = op.grid.num_nodes
-    env = op.family.envelope
-    convex = op.family.is_convex
-    # extremal envelopes M+/- of the family's (lam, Lam) bounds, same stencil
-    bounds = (env.lam_ell, env.Lam_ell, op.grid.dim)
-    m_plus = DiscreteOperator(ControlFamily.pucci_plus(*bounds), op.grid, 0.0)
-    m_minus = DiscreteOperator(ControlFamily.pucci_minus(*bounds), op.grid, 0.0)
-    worst = dict(h=0.0, a=0.0, m=0.0, s=0.0)
-    for _ in range(trials):
-        u = rng.standard_normal(N)
-        v = rng.standard_normal(N)
-        t = abs(rng.standard_normal()) + 0.1
-        k = rng.uniform(0.0, 1.0)
-        Fu = op.apply_flat(u)
-        Fv = op.apply_flat(v)
-        scale = 1.0 + max(np.abs(Fu).max(), np.abs(Fv).max())
-        # H0
-        viol = np.abs(op.apply_flat(t * u) - t * Fu).max() / (1.0 + t * np.abs(Fu).max())
-        worst["h"] = max(worst["h"], viol)
-        # difference bound / additivity
-        Fd = op.apply_flat(u - v)
-        gap = (Fu - Fv) - Fd
-        viol = (gap if convex else -gap).max() / scale
-        worst["a"] = max(worst["a"], max(viol, 0.0))
-        # midpoint (convexity or concavity per kind)
-        Fm = op.apply_flat(k * u + (1.0 - k) * v)
-        gap = Fm - (k * Fu + (1.0 - k) * Fv)
-        viol = (gap if convex else -gap).max() / scale
-        worst["m"] = max(worst["m"], max(viol, 0.0))
-        # envelope sandwich (holds for every uniformly elliptic kind)
-        d = u - v
-        drift = env.gamma * gradient_magnitude_flat(op.grid, d)
-        zeroth = env.delta * np.abs(d)
-        upper = m_plus.apply_flat(d) + drift + zeroth + op.shift * d
-        lower = m_minus.apply_flat(d) - drift - zeroth + op.shift * d
-        viol = max(((Fu - Fv) - upper).max(), (lower - (Fu - Fv)).max()) / scale
-        worst["s"] = max(worst["s"], max(viol, 0.0))
-    report = PropertyReport(op.family.kind, trials, worst["h"], worst["a"],
-                            worst["m"], worst["s"], 1e-10)
-    if not report.passed:
-        raise PropertyFailureError(
-            f"stencil algebra violated beyond 1e-10: {report}")
-    return report

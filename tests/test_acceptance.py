@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 import hjbranch.cli as cli
+from conftest import check_h0_h3, eigen_bisect_crosscheck, uniqueness_probe_at
 from hjbranch.branches import (
     AT_LAM_MINUS,
     AT_LAM_PLUS,
@@ -24,13 +25,12 @@ from hjbranch.branches import (
     sweep_subcritical,
     trace_fold,
     trace_resonant_branch,
-    uniqueness_probe_at,
     uniqueness_probe_teo6,
 )
-from hjbranch.eigen import eigen_bisect_crosscheck, principal_eigen
+from hjbranch.eigen import principal_eigen
 from hjbranch.grids import GridFunction, build_grid, sup_norm
 from hjbranch.howard import basin_census, solve_with_starts
-from hjbranch.operators import ControlFamily, DiscreteOperator, check_h0_h3
+from hjbranch.operators import ControlFamily, DiscreteOperator
 
 SCENARIOS = __import__("pathlib").Path(cli.__file__).parent / "scenarios"
 
@@ -141,7 +141,7 @@ def test_criterion_06_resonance_plus(grid199, lam_h199):
     assert set(diag["ray_residuals"]) == {1.0, 2.0, 5.0}
     assert all(v <= diag["ray_tol"] for v in diag["ray_residuals"].values())
     for t in (0.5, 1.0, 5.0):
-        probe = uniqueness_probe_at(cfg, t, ctx=ctx)
+        probe = uniqueness_probe_at(ctx, t)
         assert probe["converged_starts"] >= 2 and probe["agree"]
     p10 = min(branch.points, key=lambda p: abs(p.t - 10.0))
     assert p10.u.max() < 0
@@ -247,8 +247,7 @@ def test_criterion_11_operator_algebra(grid199):
     }
     worst = 0.0
     for fam in families.values():
-        rep = check_h0_h3(DiscreteOperator(fam, grid199, 0.0), trials=100, seed=0)
-        worst = max(worst, rep.homogeneity, rep.additivity, rep.midpoint, rep.sandwich)
+        worst = max(worst, check_h0_h3(DiscreteOperator(fam, grid199, 0.0), trials=100, seed=0))
     assert worst <= 1e-10
     _report(11, f"H0/H3/midpoint/envelope sandwich, worst scaled violation "
                 f"{worst:.2e}", started, 5.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import discrete_lam1
+from conftest import discrete_lam1, uniqueness_probe_at
 import hjbranch.branches
 from hjbranch.errors import ConfigurationError, RegimeError, RegimeMismatchError
 from hjbranch.grids import GridFunction, build_grid, sup_norm
@@ -19,7 +19,6 @@ from hjbranch.branches import (
     sweep_subcritical,
     trace_fold,
     trace_resonant_branch,
-    uniqueness_probe_at,
     uniqueness_probe_teo6,
 )
 from hjbranch.operators import ControlFamily
@@ -211,7 +210,7 @@ def test_uniqueness_probe_at(grid199, lam_h199):
     cfg = BranchConfig(fam, grid199, AT_LAM_PLUS, (-3.0, 12.0), 11)
     ctx = prepare(cfg)
     for t in (0.5, 1.0, 5.0):
-        probe = uniqueness_probe_at(cfg, t, ctx=ctx)
+        probe = uniqueness_probe_at(ctx, t)
         assert probe["converged_starts"] >= 2
         assert probe["agree"]
 
@@ -227,6 +226,17 @@ def test_trace_fold_two_branches(grid199, lam_h199, sine):
     assert minimal.diagnostics["branch_gap_min"] > 1e-4
     assert minimal.diagnostics["merge_gap"] <= 1e-6
     assert minimal.diagnostics["strict_decrease_gap"] > 0
+
+
+def test_trace_fold_continues_the_phi_aligned_second_solution():
+    # on [0, 2] the census at t = 3 also finds a sign-changing solution, the
+    # one farthest from the minimal one; d is not monotone along its ray
+    grid = build_grid(1, (0.0, 2.0), 49)
+    cfg = BranchConfig(ControlFamily.fucik(15.0), grid, 0.0, (-1.0, 3.0), 17)
+    minimal, second, crit = trace_fold(cfg)
+    assert crit.kind == "Fold" and abs(crit.t_star) < 1e-6
+    assert second.points[0].u.max() > 0 and second.points[0].u.min() > -1e-8
+    assert minimal.diagnostics["branch_gap_min"] > 1e-4
 
 
 def test_trace_fold_wrong_regime(grid199):

@@ -99,3 +99,10 @@ def test_emit_traceability_formats():
     assert "Evidence" in mixed and "| — |" in mixed
     with pytest.raises(ConfigurationError):
         emit_traceability([])
+
+
+def test_t13_passes_where_the_census_finds_a_sign_changing_solution():
+    # on [0, 2] three solutions lie above the fold; the second branch is the
+    # phi_1^+-aligned one
+    [row] = run_suite([CheckSpec("T1.3", grid=build_grid(1, (0.0, 2.0), 49))])
+    assert (row.status, row.metrics.get("n_solutions_above")) == ("Pass", 3)

@@ -2,17 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import discrete_lam1, small_problems
+from conftest import discrete_lam1, eigen_bisect_crosscheck, small_problems
 from hjbranch.errors import BracketError, EigenIterationError
 import hjbranch.eigen
 import hjbranch.howard
-from hjbranch.eigen import (
-    eigen_bisect_crosscheck,
-    principal_eigen,
-    proper_shift,
-    simplicity_probe,
-    subdomain_gap,
-)
+from hjbranch.eigen import principal_eigen, proper_shift, simplicity_probe, subdomain_gap
 from hjbranch.grids import build_grid, sup_norm
 from hjbranch.howard import guard_tol
 from hjbranch.operators import ControlFamily

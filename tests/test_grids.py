@@ -5,6 +5,7 @@ from hjbranch.errors import ConfigurationError, OrderingViolationError, UsageErr
 from hjbranch.grids import (
     GridFunction,
     build_grid,
+    direction_cosine,
     eigen_bump,
     half_domain_grid,
     signed_distance,
@@ -122,3 +123,12 @@ def test_grid_function_grid_mismatch(grid199):
     other = build_grid(1, (0.0, 1.0), 99)
     with pytest.raises(UsageError):
         GridFunction(grid199, np.zeros(grid199.num_nodes)).same_grid(other.zeros())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_direction_cosine_of_overflowing_vectors(scale):
+    phi = eigen_bump(build_grid(1, (0.0, 1.0), 49))
+    assert abs(direction_cosine(phi * scale, phi) - 1.0) <= 1e-15
+    assert abs(direction_cosine(phi * scale, phi * scale) - 1.0) <= 1e-15
+    assert abs(direction_cosine(phi * -scale, phi * scale) + 1.0) <= 1e-15

@@ -67,6 +67,24 @@ def test_converged_runs_verify_freshly(grid199, laplacian, sine):
     assert np.abs(op.apply_flat(u.values) - sine.values).max() <= rep.tol
 
 
+@pytest.mark.parametrize("case", ["converged", "diverged", "non_finite"])
+def test_final_residual_is_the_residual_of_the_returned_iterate(grid199, laplacian, sine,
+                                                                 case):
+    # a finite last iterate is returned as is, so its loop residual is final;
+    # a start with a NaN is returned with that entry zeroed and re-evaluated
+    op = DiscreteOperator(laplacian, grid199, 0.0)
+    u0 = None
+    if case == "non_finite":
+        vals = sine.values.copy()
+        vals[5] = np.nan
+        u0 = GridFunction(grid199, vals, check_finite=False)
+    blowup_norm = 1e-3 if case == "diverged" else howard.BLOWUP_NORM
+    u, rep = solve(op, sine, u0=u0, blowup_norm=blowup_norm)
+    want = {"converged": CONVERGED, "diverged": DIVERGED, "non_finite": SINGULAR}[case]
+    assert rep.status == want
+    assert rep.final_residual == float(np.abs(op.apply_flat(u.values) - sine.values).max())
+
+
 def test_solve_deterministic(grid199):
     op = DiscreteOperator(ControlFamily.fucik(8.0), grid199, 0.0)
     x = grid199.coords()[:, 0]

@@ -78,6 +78,32 @@ def test_every_export_resolves():
     assert [name for name in hjbranch.__all__ if not hasattr(hjbranch, name)] == []
 
 
+def unread_public_names(sources: list[str]) -> list[str]:
+    """``name`` or ``Class.method`` for every public top-level function or
+    class, and every public method, that no source reads as an
+    ``ast.Name`` or ``ast.Attribute`` outside its own ``def``."""
+    def public(body, types):
+        return [n for n in body if isinstance(n, types) and not n.name.startswith("_")]
+
+    def reads(root, name):
+        return sum(getattr(n, "id", None) == name or getattr(n, "attr", None) == name
+                   for n in ast.walk(root))
+
+    trees = [ast.parse(source) for source in sources]
+    defs = [(f.name, f) for tree in trees for f in public(tree.body, (ast.FunctionDef, ast.ClassDef))]
+    defs += [(f"{c.name}.{m.name}", m) for _, c in list(defs) if isinstance(c, ast.ClassDef)
+             for m in public(c.body, ast.FunctionDef)]
+    return [qualname for qualname, node in defs
+            if sum(reads(tree, node.name) for tree in trees) == reads(node, node.name)]
+
+
+def test_every_public_name_is_read():
+    """No dead public helpers: each public function, class and method of a
+    module is read somewhere in the package; test-only helpers live in tests."""
+    init = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
+    assert unread_public_names([init] + [p.read_text(encoding="utf-8") for p in MODULES]) == []
+
+
 def scipy_imports(source: str) -> list[str]:
     """``line: module`` for every import of ``scipy`` or one of its submodules."""
     tree = ast.parse(source)

@@ -5,7 +5,7 @@ import scipy.sparse.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import discrete_lam1, small_problems
+from conftest import check_h0_h3, discrete_lam1, gradient_magnitude_flat, small_problems
 from hjbranch.eigen import principal_eigen
 from hjbranch.errors import AdmissibilityError, ConfigurationError
 from hjbranch.grids import Grid, GridFunction, build_grid, half_domain_grid, sup_norm
@@ -15,8 +15,6 @@ from hjbranch.operators import (
     DiscreteOperator,
     TwoPolicyFactors,
     _neighbor_views,
-    check_h0_h3,
-    gradient_magnitude_flat,
 )
 
 FAMILIES = {
@@ -71,7 +69,7 @@ def assert_monotone_links(lin):
 
 def test_apply_laplacian_matches_discrete_eigenvalue(grid199, laplacian, sine, lam_h199):
     op = DiscreteOperator(laplacian, grid199, 0.0)
-    out = op.apply(sine)
+    out = GridFunction(grid199, op.apply_flat(sine.values))
     # the three-point stencil reproduces the closed-form eigenvalue exactly
     assert sup_norm(out - sine * (-lam_h199)) <= 1e-10
     # and approximates -pi^2 u at second order
@@ -82,14 +80,14 @@ def test_apply_laplacian_matches_discrete_eigenvalue(grid199, laplacian, sine, l
 def test_apply_zero_is_zero(grid199):
     for fam in FAMILIES.values():
         op = DiscreteOperator(fam, grid199, 3.7)
-        assert sup_norm(op.apply(grid199.zeros())) == 0.0
+        assert np.abs(op.apply_flat(grid199.zeros().values)).max() == 0.0
 
 
 def test_pucci_plus_on_concave_function(grid199, sine):
     # sampled sine has strictly negative second differences
     op = DiscreteOperator(ControlFamily.pucci_plus(1.0, 2.0), grid199, 0.0)
     lap = DiscreteOperator(ControlFamily.laplacian(dim=1), grid199, 0.0)
-    assert sup_norm(op.apply(sine) - lap.apply(sine)) <= 1e-12
+    assert np.abs(op.apply_flat(sine.values) - lap.apply_flat(sine.values)).max() <= 1e-12
 
 
 def test_linearize_linear_family_single_control(grid199, laplacian):
@@ -318,30 +316,12 @@ def test_random_stencil_matrix_apply_and_algebra(case):
     scale = op.matrix_scale() * np.abs(u).max()
     assert np.abs(lin.matrix @ u - op.apply_flat(u)).max() <= 1e-9 * scale
     assert_monotone_links(lin)
-    assert check_h0_h3(op, trials=10, seed=seed).passed
+    check_h0_h3(op, trials=10, seed=seed)
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_check_h0_h3(grid199, name):
-    report = check_h0_h3(DiscreteOperator(FAMILIES[name], grid199, 0.0),
-                         trials=100, seed=11)
-    assert report.passed
-    assert max(report.homogeneity, report.additivity,
-               report.midpoint, report.sandwich) <= 1e-10
-
-
-def test_check_h0_h3_evaluates_the_gradient_once_per_trial(grid199, monkeypatch):
-    import hjbranch.operators as operators
-
-    calls = [0]
-
-    def counting(grid, flat):
-        calls[0] += 1
-        return gradient_magnitude_flat(grid, flat)
-
-    monkeypatch.setattr(operators, "gradient_magnitude_flat", counting)
-    check_h0_h3(DiscreteOperator(FAMILIES["finite_sup"], grid199, 0.0), trials=7, seed=2)
-    assert calls[0] == 7
+    check_h0_h3(DiscreteOperator(FAMILIES[name], grid199, 0.0), trials=100, seed=11)
 
 
 def _singular_operator(dim):
@@ -477,7 +457,7 @@ def test_2d_apply_diagonal_family():
     coords = g.coords()
     u = GridFunction(g, np.sin(np.pi * coords[:, 0]) * np.sin(np.pi * coords[:, 1]))
     op = DiscreteOperator(ControlFamily.laplacian(dim=2), g, 0.0)
-    assert sup_norm(op.apply(u) - u * (-lam2)) <= 1e-9
+    assert np.abs(op.apply_flat(u.values) + lam2 * u.values).max() <= 1e-9
 
 
 def test_cfl_admissibility_enforced(grid199):
@@ -508,15 +488,17 @@ def test_envelope_and_dim_come_from_the_controls():
         ControlFamily.pucci_minus(2.0, 1.0, dim=2)
 
 
+@pytest.mark.filterwarnings("error")
+def test_envelope_gamma_of_a_huge_drift():
+    # the plain Euclidean norm overflows to inf
+    assert ControlFamily.finite_sup([((1.0,), (1e300,), 0.0)]).envelope.gamma == 1e300
+    fam = ControlFamily.finite_sup([(np.eye(2), (1e300, -1e300), 0.0),
+                                    (np.eye(2), (0.0, 0.0), 0.0)])
+    assert fam.envelope.gamma == pytest.approx(np.sqrt(2.0) * 1e300, rel=1e-15)
+
+
 def test_argmax_tie_breaks_to_lowest_index(grid199):
     # at u = 0 every control ties; the first control must win everywhere
     op = DiscreteOperator(ControlFamily.fucik(5.0), grid199, 0.0)
     assert np.all(op.linearize(grid199.zeros()).active == 0)
 
-
-def test_apply_grid_mismatch(grid199):
-    from hjbranch.errors import UsageError
-    other = build_grid(1, (0.0, 1.0), 99)
-    op = DiscreteOperator(ControlFamily.laplacian(dim=1), grid199, 0.0)
-    with pytest.raises(UsageError):
-        op.apply(other.zeros())

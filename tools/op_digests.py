@@ -10,7 +10,7 @@ next to this script, so one workload definition hashes both sides of a
 comparison. Two checkouts give byte-identical payloads when the outputs of
 ``--checkout A`` and ``--checkout B`` are identical (``diff``). ``ok`` is
 ``ok`` or ``FAIL`` from the op's gate (the recorded fine-grid probe of
-``cli1d`` reads ``FAIL``), or ``raised`` with the digest of the exception.
+``cli1d`` reads ``ok``), or ``raised`` with the digest of the exception.
 
 A last group, ``cli``, runs the CLI cases no benchmark op covers: ``solve``
 on every shipped scenario at ``solve_t`` -0.5 and 1.0 (some of them end in
