@@ -18,33 +18,16 @@ from .branches import (
     BranchPoint,
     CriticalReport,
     locate_tstar_resonance,
-    make_teo6_family,
     prepare,
     sweep_negative_regime,
     sweep_subcritical,
     trace_fold,
     trace_resonant_branch,
-    uniqueness_probe_teo6,
 )
 from .checks import CheckResult, CheckSpec, default_suite, emit_traceability, run_suite
-from .eigen import EigenPair, principal_eigen, simplicity_probe, subdomain_gap
-from .grids import (
-    Grid,
-    GridFunction,
-    build_grid,
-    eigen_bump,
-    half_domain_grid,
-    signed_distance,
-    sup_norm,
-)
-from .howard import (
-    SolveReport,
-    basin_census,
-    check_abp,
-    check_comparison,
-    solve,
-    solve_with_starts,
-)
+from .eigen import EigenPair, principal_eigen
+from .grids import Grid, GridFunction, build_grid, eigen_bump, half_domain_grid, sup_norm
+from .howard import SolveReport, basin_census, solve, solve_with_starts
 from .operators import ControlCoeffs, ControlFamily, DiscreteOperator, Envelope
 
 __all__ = [
@@ -53,13 +36,10 @@ __all__ = [
     "CheckResult", "CheckSpec", "ControlCoeffs", "ControlFamily",
     "CriticalReport", "DiscreteOperator", "EigenPair",
     "Envelope", "Grid", "GridFunction",
-    "SolveReport", "basin_census", "build_grid",
-    "check_abp", "check_comparison", "default_suite",
+    "SolveReport", "basin_census", "build_grid", "default_suite",
     "eigen_bump", "emit_traceability",
-    "half_domain_grid", "locate_tstar_resonance", "make_teo6_family",
-    "prepare", "principal_eigen", "run_suite",
-    "signed_distance", "simplicity_probe", "solve",
-    "solve_with_starts", "subdomain_gap", "sup_norm", "sweep_negative_regime",
+    "half_domain_grid", "locate_tstar_resonance",
+    "prepare", "principal_eigen", "run_suite", "solve",
+    "solve_with_starts", "sup_norm", "sweep_negative_regime",
     "sweep_subcritical", "trace_fold", "trace_resonant_branch",
-    "uniqueness_probe_teo6",
 ]

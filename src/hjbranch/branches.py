@@ -38,12 +38,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import principal_eigen, subdomain_gap
+from .eigen import principal_eigen
 from .errors import (
     BracketError,
     ConfigurationError,
     FoldTraceError,
-    OrderingViolationError,
     RegimeError,
     RegimeMismatchError,
     UnstableDetectionError,
@@ -53,7 +52,6 @@ from .grids import (
     GridFunction,
     direction_cosine,
     eigen_bump,
-    signed_distance,
     sup_norm,
 )
 from .howard import (
@@ -71,7 +69,6 @@ from .operators import ControlFamily, DiscreteOperator, TwoPolicyFactors
 
 AT_LAM_PLUS = "at_lam_plus"
 AT_LAM_MINUS = "at_lam_minus"
-_N_RHS = 10  # seeded right-hand sides of the Teo6 uniqueness probe
 _RESONANCE_REGIMES = {"+": "resonance_plus", "-": "resonance_minus"}
 
 
@@ -261,18 +258,13 @@ def interior_max(u: GridFunction) -> float:
 
 
 def diagram_coordinate(u: GridFunction, ref: GridFunction) -> float:
-    """Signed sup-distance for the bifurcation diagram.
-
-    Uses the strict signed distance along ordered branches; if the
-    difference changes sign (possible off the ordered regimes) the sign
-    of the dominant deviation is used instead.
-    """
-    try:
-        return signed_distance(u, ref)
-    except OrderingViolationError:
-        diff = u.values - ref.values
-        k = int(np.argmax(np.abs(diff)))
-        return math.copysign(float(np.abs(diff).max()), diff[k])
+    """Signed sup-distance for the bifurcation diagram: sup|u - ref| with
+    the sign of the largest deviation (the first one on a tie), so it is
+    +-sup|u - ref| along ordered branches and 0.0 at ref."""
+    u.same_grid(ref)
+    diff = u.values - ref.values
+    k = int(np.argmax(np.abs(diff)))
+    return math.copysign(float(np.abs(diff).max()), diff[k])
 
 
 def _residual(op: DiscreteOperator, u: GridFunction, f: GridFunction) -> float:
@@ -1044,86 +1036,3 @@ def antimaximum_probe(op: DiscreteOperator, phi: GridFunction, gap: float) -> di
         antimax[k] = {"converged": rep.converged,
                       "max": u.max() if rep.converged else float("nan")}
     return antimax
-
-
-# ---------------------------------------------------------------------------
-# 6. uniqueness probe when both eigenvalues are slightly negative
-# ---------------------------------------------------------------------------
-
-
-def make_teo6_family(grid: Grid) -> tuple[ControlFamily, float]:
-    """Tune an asymmetric family so both principal eigenvalues fall in
-    (-d0, 0), with d0 half the half-domain eigenvalue gap.
-
-    For zeroth-order shifts the subdomain gap does not depend on the
-    shift itself, so the gap is computed once from the Laplacian.
-    """
-    lam_full, lam_sub = subdomain_gap(ControlFamily.laplacian(dim=grid.dim), grid)
-    alpha = lam_sub - lam_full
-    d0 = alpha / 2.0
-    fam = ControlFamily.fucik(lam_full + d0 / 2.0, lam_full + d0 / 4.0, dim=grid.dim)
-    return fam, d0
-
-
-def uniqueness_probe_teo6(family: ControlFamily, grid: Grid, d0: float,
-                          seed: int = 0) -> dict:
-    """Battery of right-hand sides x eight start basins; every converged
-    basin per f must agree when both eigenvalues sit in (-d0, 0).
-
-    Two converged iterates count as distinct solutions only when they
-    differ by more than ten times the residual target ``solve`` certifies
-    for that f, including its conditioning guard; a tighter gap would count
-    the rounding spread of one solution as a second solution.
-    """
-    ep = principal_eigen(family, grid, "+")
-    em = principal_eigen(family, grid, "-")
-    if not (-d0 <= ep.lam <= em.lam < 0):
-        raise RegimeError(
-            f"probe needs -d0 <= lam_1^+ <= lam_1^- < 0; got ({ep.lam}, {em.lam}), d0={d0}")
-    op = DiscreteOperator(family, grid, 0.0)
-    rng = np.random.default_rng(seed)
-    phi = ep.phi
-    mixed = mixed_mode(grid)
-
-    def starts(scale: float) -> list[GridFunction]:
-        base = [grid.zeros(), phi * scale, phi * (-scale), phi * (10 * scale),
-                phi * (-10 * scale), mixed * scale]
-        while len(base) < 8:
-            base.append(GridFunction(grid, rng.standard_normal(grid.num_nodes) * scale,
-                                     check_finite=False))
-        return base
-
-    cases = []
-    coords = grid.coords()
-    a0, b0 = grid.extents[0]
-    xhat = (coords[:, 0] - a0) / (b0 - a0)
-    for _ in range(_N_RHS):
-        t = float(rng.uniform(-3.0, 3.0))
-        amps = rng.standard_normal(4)
-        hv = sum(amps[m] * np.sin((m + 2) * np.pi * xhat) for m in range(4))
-        cases.append(("seeded", phi * t + GridFunction(grid, hv, check_finite=False)))
-    cases.append(("phi_plus_h", phi * 1.0 + GridFunction(
-        grid, 0.5 * np.sin(2 * np.pi * xhat), check_finite=False)))
-    cases.append(("zero", grid.zeros()))
-    cases.append(("large_positive_const", grid.ones() * 50.0))
-    cases.append(("large_negative_const", grid.ones() * (-50.0)))
-
-    results = []
-    all_unique = True
-    for label, f in cases:
-        scale = 1.0 + sup_norm(f) / max(abs(ep.lam), 1.0)
-        tol_gap = 10.0 * guard_tol(resolve_tol(sup_norm(f)), op.matrix_scale(), scale)
-        census = basin_census(op, f, starts(scale), distinct_gap=tol_gap)
-        entry = {
-            "label": label,
-            "n_solutions": len(census),
-            "converged_starts": sum(c[1] for c in census),
-            "sup": sup_norm(census[0][0]) if census else float("nan"),
-            "max": census[0][0].max() if census else float("nan"),
-            "min": census[0][0].min() if census else float("nan"),
-        }
-        if len(census) != 1 or entry["converged_starts"] < 2:
-            all_unique = False
-        results.append(entry)
-    return {"d0": d0, "lam_plus": ep.lam, "lam_minus": em.lam,
-            "cases": results, "all_unique": all_unique}

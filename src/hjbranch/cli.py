@@ -93,6 +93,17 @@ def _require_keys(obj: dict, path: str, required: tuple, optional: tuple) -> Non
             raise _err(f"{path}.{key}", "missing required key")
 
 
+def _built(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with ``path`` prefixed to a
+    ``ConfigurationError`` other than ``AdmissibilityError``."""
+    try:
+        return make(*args, **kwargs)
+    except AdmissibilityError:
+        raise
+    except ConfigurationError as exc:
+        raise _err(path, str(exc)) from exc
+
+
 def _expect(cond: bool, path: str, message: str) -> None:
     if not cond:
         raise _err(path, message)
@@ -156,11 +167,11 @@ def _family_from_dict(fd) -> ControlFamily:
     _expect(_is_int(dim) and dim in (1, 2), "family.dim", "must be 1 or 2")
     if kind == "linear":
         _validate_coeffs(fd, "family", null_drift=True)
-        return ControlFamily.linear(fd.get("diffusion", 1.0), fd.get("drift"),
-                                    fd.get("zeroth", 0.0), dim=dim)
+        return _built("family", ControlFamily.linear, fd.get("diffusion", 1.0),
+                      fd.get("drift"), fd.get("zeroth", 0.0), dim=dim)
     if kind == "fucik":
-        return ControlFamily.fucik(_real(fd["b_plus"], "family.b_plus"),
-                                   _real(fd.get("b_minus", 0.0), "family.b_minus"), dim=dim)
+        return _built("family", ControlFamily.fucik, _real(fd["b_plus"], "family.b_plus"),
+                      _real(fd.get("b_minus", 0.0), "family.b_minus"), dim=dim)
     if kind == "finite_sup":
         controls = fd["controls"]
         _expect(isinstance(controls, list) and controls, "family.controls",
@@ -168,11 +179,11 @@ def _family_from_dict(fd) -> ControlFamily:
         for i, c in enumerate(controls):
             _require_keys(c, f"family.controls[{i}]", ("diffusion", "drift", "zeroth"), ())
             _validate_coeffs(c, f"family.controls[{i}]", null_drift=False)
-        return ControlFamily.finite_sup([(c["diffusion"], c["drift"], c["zeroth"])
-                                         for c in controls])
+        return _built("family", ControlFamily.finite_sup,
+                      [(c["diffusion"], c["drift"], c["zeroth"]) for c in controls])
     pucci = ControlFamily.pucci_plus if kind == "pucci_plus" else ControlFamily.pucci_minus
-    return pucci(_real(fd["lam_ell"], "family.lam_ell"), _real(fd["Lam_ell"], "family.Lam_ell"),
-                 dim=dim)
+    return _built("family", pucci, _real(fd["lam_ell"], "family.lam_ell"),
+                  _real(fd["Lam_ell"], "family.Lam_ell"), dim=dim)
 
 
 _H_FUN_KEYS = {"zero": (), "poly": ("coeffs",), "sine": ("amplitudes",)}
@@ -291,12 +302,7 @@ def validate_scenario(raw: dict) -> Scenario:
     # the operators that eigen builds: CFL failure raises AdmissibilityError,
     # a coefficient that overflows the stencil a ConfigurationError
     for shift in (0.0, -proper_shift(family)):
-        try:
-            DiscreteOperator(family, grid, shift)
-        except AdmissibilityError:
-            raise
-        except ConfigurationError as exc:
-            raise _err("family", str(exc)) from exc
+        _built("family", DiscreteOperator, family, grid, shift)
     return Scenario(out, grid, family, h_fun, lam_pair)
 
 

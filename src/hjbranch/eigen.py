@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigenIterationError, UsageError
-from .grids import Grid, GridFunction, half_domain_grid, sup_norm
+from .grids import Grid, GridFunction, sup_norm
 from .howard import CONVERGED, guard_tol, solve
 from .operators import ControlFamily, DiscreteOperator, TwoPolicyFactors
 
@@ -30,7 +30,6 @@ _RESIDUAL_TOL = 1e-9  # sup |F_h[phi] + lam*phi|, raised to the rounding floor o
 # nears 1 when the gap is small against lam_1, as on anisotropic 2D grids:
 # a 5x3 grid on (0, 2)x(0, 0.5) needs 589 steps, extreme ones about 2,400
 _MAX_ITERS = 5000
-_N_STARTS = 5  # seeded positive starts of the simplicity probe
 
 
 def proper_shift(family: ControlFamily) -> float:
@@ -65,13 +64,14 @@ def principal_eigen(family: ControlFamily, grid: Grid, sign: str) -> EigenPair:
     if sign not in ("+", "-"):
         raise UsageError("sign must be '+' or '-'")
     start = grid.ones() if sign == "+" else -grid.ones()
-    return _inverse_iteration(family, grid, start, sign)
+    return inverse_iteration(family, grid, start, sign)
 
 
-def _inverse_iteration(family: ControlFamily, grid: Grid, start: GridFunction,
-                       sign: str) -> EigenPair:
-    """Shifted inverse power iteration from ``start`` until both the
-    eigenvalue and the residual settle; every failure raises. The factors
+def inverse_iteration(family: ControlFamily, grid: Grid, start: GridFunction,
+                      sign: str) -> EigenPair:
+    """Shifted inverse power iteration from ``start``, which lies in the cone
+    of ``sign`` (> 0 for "+", < 0 for "-"), until both the eigenvalue and
+    the residual settle; every failure raises. The factors
     of the shifted operator's last two policies live as long as the call."""
     sigma = proper_shift(family)
     op_plain = DiscreteOperator(family, grid, 0.0)
@@ -100,35 +100,3 @@ def _inverse_iteration(family: ControlFamily, grid: Grid, start: GridFunction,
         lam, u = lam_new, u_new
     raise EigenIterationError(
         f"inverse iteration did not converge in {_MAX_ITERS} iterations")
-
-
-def subdomain_gap(family: ControlFamily, grid: Grid) -> tuple[float, float]:
-    """Principal positive eigenvalue on the grid and on its half-domain grid
-    (``grids.half_domain_grid``); shrinking the domain must raise it by a
-    strictly positive gap."""
-    full = principal_eigen(family, grid, "+")
-    sub = principal_eigen(family, half_domain_grid(grid), "+")
-    if not sub.lam > full.lam:
-        raise EigenIterationError(
-            f"expected strict subdomain gap, got {sub.lam} <= {full.lam}")
-    return full.lam, sub.lam
-
-
-def simplicity_probe(family: ControlFamily, grid: Grid, seed: int = 0) -> dict:
-    """Run inverse iteration from ``_N_STARTS`` distinct seeded positive
-    starts and measure the spread of the limits (discrete simplicity
-    evidence); the probe passes when the spread is at most 1e-6. A start
-    that does not converge raises ``EigenIterationError``."""
-    tol = 1e-6
-    rng = np.random.default_rng(seed)
-    limits = []
-    iters = []
-    for _ in range(_N_STARTS):
-        vals = 0.1 + rng.random(grid.num_nodes)
-        u = GridFunction(grid, vals / vals.max(), check_finite=False)
-        pair = _inverse_iteration(family, grid, u, "+")
-        limits.append(pair.phi)
-        iters.append(pair.iters)
-    spread = max(sup_norm(a - b) for a in limits for b in limits)
-    return {"spread": spread, "tol": tol, "passed": spread <= tol,
-            "n_starts": _N_STARTS, "iters": iters}

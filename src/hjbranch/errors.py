@@ -22,10 +22,6 @@ class UsageError(HJBError):
     """API misuse, e.g. mixing functions from different grids."""
 
 
-class OrderingViolationError(HJBError):
-    """A signed distance was requested for a sign-indefinite difference."""
-
-
 class EigenIterationError(HJBError):
     """Inverse power iteration lost its sign cone or failed to converge."""
 

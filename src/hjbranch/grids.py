@@ -13,7 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, OrderingViolationError, UsageError
+from .errors import ConfigurationError, UsageError
+
+# a vector whose Euclidean norm is below this has squares below the normal range
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -161,13 +164,16 @@ def sup_norm(u: GridFunction) -> float:
 
 
 def euclidean_norm(x: np.ndarray) -> float:
-    """``np.linalg.norm(x)``; where that overflows for a finite x, the norm
-    of x scaled to unit sup norm, scaled back."""
+    """``np.linalg.norm(x)``; where that overflows for a finite x, or falls
+    below sqrt(smallest normal double) so that the squares lost digits, the
+    norm of x scaled to unit sup norm, scaled back."""
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(x))
-    if np.isfinite(norm) or not np.isfinite(x).all():
+    if _SQRT_TINY <= norm < np.inf or not np.isfinite(x).all():
         return norm
     scale = float(np.abs(x).max())
+    if scale == 0.0:
+        return norm
     return scale * float(np.linalg.norm(np.asarray(x) / scale))
 
 
@@ -179,32 +185,10 @@ def direction_cosine(u: GridFunction, phi: GridFunction) -> float:
     nb = euclidean_norm(b)
     if na == 0.0 or nb == 0.0:
         return 0.0
-    if not np.isfinite(na * nb):
-        # the plain product overflows; the unit vectors do not
+    if min(na, nb) < _SQRT_TINY or not np.isfinite(na * nb):
+        # the plain products underflow or overflow; the unit vectors do not
         return float(np.dot(a / na, b / nb))
     return float(np.dot(a, b) / (na * nb))
-
-
-def signed_distance(u: GridFunction, u_ref: GridFunction) -> float:
-    """Signed sup-norm distance: +||u-u_ref|| if u >= u_ref (some node strict),
-    -||u-u_ref|| if u <= u_ref, 0 if equal.
-
-    A mixed-sign difference means the caller's ordering assumption broke;
-    that is reported as an error rather than silently signed.
-    """
-    u.same_grid(u_ref)
-    diff = u.values - u_ref.values
-    has_pos = bool((diff > 0).any())
-    has_neg = bool((diff < 0).any())
-    if has_pos and has_neg:
-        raise OrderingViolationError(
-            "difference changes sign; branch ordering lost "
-            f"(max {diff.max():.3e}, min {diff.min():.3e})"
-        )
-    norm = float(np.abs(diff).max())
-    if not has_pos and not has_neg:
-        return 0.0
-    return norm if has_pos else -norm
 
 
 def half_domain_grid(grid: Grid) -> Grid:

@@ -207,64 +207,3 @@ def basin_census(op, f: GridFunction, starts, distinct_gap: float | None = None)
         else:
             clusters.append([u, 1])
     return [(u, count) for u, count in clusters]
-
-
-@dataclass
-class ComparisonReport:
-    premise_gap: float
-    worst_violation: float
-    slack: float
-
-    @property
-    def premise_holds(self) -> bool:
-        return self.premise_gap <= self.slack
-
-    @property
-    def holds(self) -> bool:
-        return (not self.premise_holds) or self.worst_violation <= self.slack
-
-
-def check_comparison(op, u: GridFunction, v: GridFunction) -> ComparisonReport:
-    """Discrete comparison: F_h[u] <= F_h[v] pointwise should force u >= v.
-
-    Report-only; the caller certifies the positive-eigenvalue regime.
-    """
-    Fu = op.apply_flat(u.values)
-    Fv = op.apply_flat(v.values)
-    scale = 1.0 + max(np.abs(Fu).max(), np.abs(Fv).max(), sup_norm(u), sup_norm(v))
-    slack = 1e-10 * scale
-    premise_gap = float((Fu - Fv).max())
-    worst = float(np.maximum(v.values - u.values, 0.0).max())
-    return ComparisonReport(premise_gap, worst, slack)
-
-
-@dataclass
-class AbpReport:
-    side: str
-    sup_part: float
-    forcing_norm: float
-    ratio: float
-
-
-def check_abp(op, u: GridFunction, f: GridFunction, side: str) -> AbpReport:
-    """One-sided bound bookkeeping: ratio of sup of the adverse part of u
-    to the discrete L^N norm of the favorable part of f.
-
-    side '-' pairs sup u^- with ||f^+||; side '+' pairs sup u^+ with
-    ||f^-||. The 0/0 case reports ratio 0 by convention.
-    """
-    if side not in ("+", "-"):
-        raise UsageError("side must be '+' or '-'")
-    grid = op.grid
-    if side == "-":
-        sup_part = float(np.maximum(-u.values, 0.0).max())
-        fav = np.maximum(f.values, 0.0)
-    else:
-        sup_part = float(np.maximum(u.values, 0.0).max())
-        fav = np.maximum(-f.values, 0.0)
-    w = grid.quad_weight()
-    N = grid.dim
-    forcing = float((w * np.sum(fav**N)) ** (1.0 / N))
-    ratio = 0.0 if forcing == 0.0 and sup_part == 0.0 else (
-        float("inf") if forcing == 0.0 else sup_part / forcing)
-    return AbpReport(side, sup_part, forcing, ratio)

@@ -19,14 +19,13 @@ from hjbranch.branches import (
     AT_LAM_PLUS,
     BranchConfig,
     locate_tstar_resonance,
-    make_teo6_family,
     prepare,
     sweep_negative_regime,
     sweep_subcritical,
     trace_fold,
     trace_resonant_branch,
-    uniqueness_probe_teo6,
 )
+from hjbranch.checks import CheckSpec, _subdomain_gap, run_suite
 from hjbranch.eigen import principal_eigen
 from hjbranch.grids import GridFunction, build_grid, sup_norm
 from hjbranch.howard import basin_census, solve_with_starts
@@ -221,15 +220,14 @@ def test_criterion_09_negative_regime_evidence(grid199, lam_h199):
 
 def test_criterion_10_uniqueness_when_both_negative(grid199):
     started = time.time()
-    fam, d0 = make_teo6_family(grid199)
-    rep = uniqueness_probe_teo6(fam, grid199, seed=0, d0=d0)
-    assert -d0 <= rep["lam_plus"] <= rep["lam_minus"] < 0
-    assert rep["all_unique"]
-    seeded = [c for c in rep["cases"] if c["label"] == "seeded"]
-    assert len(seeded) == 10
-    assert all(c["n_solutions"] == 1 and c["converged_starts"] >= 2 for c in seeded)
-    _report(10, f"d0={d0:.4f}, eigenvalues ({rep['lam_plus']:.3f}, "
-                f"{rep['lam_minus']:.3f}), one solution per rhs", started, 60.0)
+    [row] = run_suite([CheckSpec("T1.6", grid=grid199, seed=0)])
+    m = row.metrics
+    assert -m["d0"] <= m["lam_plus"] <= m["lam_minus"] < 0
+    # Pass: each of the 10 seeded and 4 fixed forcings has one solution, from >= 2 starts
+    assert row.status == "Pass"
+    assert m["n_cases"] == 14 and m["max_solutions_per_case"] == 1.0
+    _report(10, f"d0={m['d0']:.4f}, eigenvalues ({m['lam_plus']:.3f}, "
+                f"{m['lam_minus']:.3f}), one solution per rhs", started, 60.0)
 
 
 def test_criterion_11_operator_algebra(grid199):
@@ -255,8 +253,7 @@ def test_criterion_11_operator_algebra(grid199):
 
 def test_criterion_12_subdomain_gap_oracle(grid199, laplacian):
     started = time.time()
-    from hjbranch.eigen import subdomain_gap
-    lam_full, lam_sub = subdomain_gap(laplacian, grid199)
+    lam_full, lam_sub = _subdomain_gap(laplacian, grid199)
     ratio = lam_sub / lam_full
     assert abs(ratio - 4.0) / 4.0 <= 0.005
     _report(12, f"half-domain eigenvalue ratio {ratio:.6f}", started, 2.0)

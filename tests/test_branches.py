@@ -3,6 +3,8 @@ import pytest
 
 from conftest import discrete_lam1, uniqueness_probe_at
 import hjbranch.branches
+import hjbranch.checks
+from hjbranch.checks import CheckSpec, _teo6_family, run_suite
 from hjbranch.errors import ConfigurationError, RegimeError, RegimeMismatchError
 from hjbranch.grids import GridFunction, build_grid, sup_norm
 from hjbranch.branches import (
@@ -13,15 +15,14 @@ from hjbranch.branches import (
     diagram_coordinate,
     interior_max,
     locate_tstar_resonance,
-    make_teo6_family,
     prepare,
     sweep_negative_regime,
     sweep_subcritical,
     trace_fold,
     trace_resonant_branch,
-    uniqueness_probe_teo6,
 )
-from hjbranch.operators import ControlFamily
+from hjbranch.howard import solve
+from hjbranch.operators import ControlFamily, DiscreteOperator
 
 
 @pytest.fixture(scope="module")
@@ -309,7 +310,7 @@ def test_sweep_negative_regime_wrong_lambda(grid199, lam_h199):
 
 
 def test_make_teo6_family(grid199, lam_h199):
-    fam, d0 = make_teo6_family(grid199)
+    fam, d0 = _teo6_family(grid199)
     assert d0 == pytest.approx((discrete_lam1(99, 0.5) - lam_h199) / 2, rel=1e-6)
     # the two controls carry b_plus and b_minus as their zeroth-order terms
     bp, bm = (c.zeroth for c in fam.controls)
@@ -318,17 +319,17 @@ def test_make_teo6_family(grid199, lam_h199):
 
 
 def test_uniqueness_probe_teo6(grid199):
-    fam, d0 = make_teo6_family(grid199)
-    rep = uniqueness_probe_teo6(fam, grid199, seed=5, d0=d0)
-    assert -d0 <= rep["lam_plus"] <= rep["lam_minus"] < 0
-    assert [c["label"] for c in rep["cases"]].count("seeded") == hjbranch.branches._N_RHS
-    assert rep["all_unique"]
-    zero_case = [c for c in rep["cases"] if c["label"] == "zero"][0]
-    assert zero_case["sup"] == 0.0
-    pos = [c for c in rep["cases"] if c["label"] == "large_positive_const"][0]
-    assert pos["min"] > 0  # large positive forcing produces the positive solution
-    neg = [c for c in rep["cases"] if c["label"] == "large_negative_const"][0]
-    assert neg["max"] < 0
+    [row] = run_suite([CheckSpec("T1.6", grid=grid199, seed=5)])
+    m = row.metrics
+    assert -m["d0"] <= m["lam_plus"] <= m["lam_minus"] < 0
+    # the seeded right-hand sides, phi^+ + h, zero and the constants +-50
+    assert m["n_cases"] == hjbranch.checks._N_RHS + 4
+    assert row.status == "Pass" and m["max_solutions_per_case"] == 1.0
+    op = DiscreteOperator(_teo6_family(grid199)[0], grid199, 0.0)
+    u_pos, rep_pos = solve(op, grid199.ones() * 50.0)
+    assert rep_pos.converged and u_pos.min() > 0  # large positive forcing, positive solution
+    u_neg, rep_neg = solve(op, grid199.ones() * (-50.0))
+    assert rep_neg.converged and u_neg.max() < 0
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -337,16 +338,18 @@ def test_uniqueness_probe_teo6_counts_zero_once_on_any_grid(n, seed):
     # solve certifies the zero forcing only up to its conditioning guard,
     # which at these n exceeds the bare residual target; iterates of u = 0
     # within that guard are one solution, not several
-    g = build_grid(1, (0.0, 1.0), n)
-    fam, d0 = make_teo6_family(g)
-    rep = uniqueness_probe_teo6(fam, g, d0, seed=seed)
-    assert [c["n_solutions"] for c in rep["cases"]] == [1] * len(rep["cases"])
-    assert rep["all_unique"]
+    [row] = run_suite([CheckSpec("T1.6", grid=build_grid(1, (0.0, 1.0), n), seed=seed)])
+    assert row.metrics["max_solutions_per_case"] == 1.0
+    assert row.status == "Pass"
 
 
-def test_uniqueness_probe_teo6_regime_guard(grid199):
-    with pytest.raises(RegimeError):
-        uniqueness_probe_teo6(ControlFamily.fucik(5.0), grid199, d0=1.0)
+def test_uniqueness_probe_teo6_regime_guard(grid199, monkeypatch):
+    # fucik(5) has both eigenvalues near 4.9, outside (-d0, 0)
+    monkeypatch.setattr(hjbranch.checks, "_teo6_family",
+                        lambda grid: (ControlFamily.fucik(5.0), 1.0))
+    [row] = run_suite([CheckSpec("T1.6", grid=grid199)])
+    assert (row.status, row.invariant) == ("Fail", "runner aborted")
+    assert row.message.startswith("probe needs -d0 <= lam_1^+ <= lam_1^- < 0")
 
 
 def test_2d_subcritical_sweep():
@@ -402,6 +405,21 @@ def test_resonance_on_genuinely_nonlinear_family(grid199):
     assert d["alternative"] in ("i", "ii", "open")
     assert not d["alternative_certified"]  # only the settled case certifies
     assert all(p["agree"] for p in d["uniqueness_probes"].values())
+
+
+def test_diagram_coordinate_is_the_signed_sup_norm_of_ordered_differences():
+    rng = np.random.default_rng(0)
+    for grid in (build_grid(1, (0.0, 1.0), 49), build_grid(2, ((0.0, 1.0), (0.0, 2.0)), (7, 5))):
+        for _ in range(100):
+            ref = GridFunction(grid, rng.standard_normal(grid.num_nodes))
+            gap = np.abs(rng.standard_normal(grid.num_nodes)) * 10.0 ** rng.integers(-8, 8)
+            gap[rng.random(grid.num_nodes) < 0.3] = 0.0  # ties with ref
+            above = GridFunction(grid, ref.values + gap)
+            below = GridFunction(grid, ref.values - gap)
+            assert diagram_coordinate(above, ref) == sup_norm(above - ref)
+            assert diagram_coordinate(below, ref) == -sup_norm(below - ref)
+        # u == ref gives +0.0, the sign of x - x
+        assert np.copysign(1.0, diagram_coordinate(ref, ref)) == 1.0
 
 
 def test_diagram_coordinate_fallback(grid199):

@@ -1,12 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from conftest import discrete_lam1, eigen_bisect_crosscheck, small_problems
 from hjbranch.errors import BracketError, EigenIterationError
+import hjbranch.checks
 import hjbranch.eigen
 import hjbranch.howard
-from hjbranch.eigen import principal_eigen, proper_shift, simplicity_probe, subdomain_gap
+from hjbranch.checks import CheckSpec, _subdomain_gap, run_suite
+from hjbranch.eigen import principal_eigen, proper_shift
 from hjbranch.grids import build_grid, sup_norm
 from hjbranch.howard import guard_tol
 from hjbranch.operators import ControlFamily
@@ -96,7 +100,7 @@ def test_mirror_identity(grid199):
 
 
 def test_subdomain_gap_laplacian(grid199, laplacian, lam_h199):
-    lam_full, lam_sub = subdomain_gap(laplacian, grid199)
+    lam_full, lam_sub = _subdomain_gap(laplacian, grid199)
     assert abs(lam_full - lam_h199) <= 1e-9
     # the half-domain grid of (0,1) at this n is the (0, 1/2) grid with n=99
     assert abs(lam_sub - discrete_lam1(99, 0.5)) <= 1e-8
@@ -105,7 +109,7 @@ def test_subdomain_gap_laplacian(grid199, laplacian, lam_h199):
 
 def test_subdomain_gap_pucci(grid199):
     pp = ControlFamily.pucci_plus(1.0, 2.0)
-    lam_full, lam_sub = subdomain_gap(pp, grid199)
+    lam_full, lam_sub = _subdomain_gap(pp, grid199)
     assert abs(lam_sub / lam_full - 4.0) <= 0.02
 
 
@@ -119,18 +123,23 @@ def test_scaling_covariance():
         assert abs(lam1 / lam2 - 4.0) <= 4.0 * 1e-8
 
 
-def test_simplicity_probe(grid199):
-    probe = simplicity_probe(ControlFamily.fucik(5.0), grid199, seed=3)
-    assert probe["passed"]
-    assert probe["n_starts"] == len(probe["iters"]) == hjbranch.eigen._N_STARTS
-    assert probe["spread"] <= 1e-6
+def test_simplicity_probe(grid199, monkeypatch):
+    # T2.1 runs inverse iteration from _N_STARTS seeded positive starts
+    spy = mock.Mock(wraps=hjbranch.eigen.inverse_iteration)
+    monkeypatch.setattr(hjbranch.checks, "inverse_iteration", spy)
+    [row] = run_suite([CheckSpec("T2.1", grid=grid199, seed=3)])
+    assert row.status == "Pass"
+    assert spy.call_count == hjbranch.checks._N_STARTS
+    assert all(call.args[2].min() > 0 for call in spy.call_args_list)
+    assert row.metrics["eigenfunction_spread"] <= 1e-6
 
 
 def test_simplicity_probe_unconverged_start_raises(grid199, monkeypatch):
     monkeypatch.setattr(hjbranch.eigen, "_MAX_ITERS", 3)
-    # the first of the _N_STARTS starts raises
-    with pytest.raises(EigenIterationError, match="in 3 iterations"):
-        simplicity_probe(ControlFamily.fucik(5.0), grid199)
+    # the first of the _N_STARTS starts raises, and the T2.1 row reports it
+    [row] = run_suite([CheckSpec("T2.1", grid=grid199)])
+    assert (row.status, row.invariant) == ("Fail", "runner aborted")
+    assert "in 3 iterations" in row.message
 
 
 def test_slow_anisotropic_problem_converges_past_500_steps():

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from hjbranch.errors import ConfigurationError, OrderingViolationError, UsageError
+from hjbranch.branches import diagram_coordinate
+from hjbranch.errors import ConfigurationError, UsageError
 from hjbranch.grids import (
     GridFunction,
     build_grid,
     direction_cosine,
     eigen_bump,
+    euclidean_norm,
     half_domain_grid,
-    signed_distance,
     sup_norm,
 )
 
@@ -73,21 +74,23 @@ def test_sup_norm_is_a_norm(grid199):
         assert sup_norm(u + v) <= sup_norm(u) + sup_norm(v) + 1e-15
 
 
+# The signed sup-norm distance of the bifurcation diagram is
+# branches.diagram_coordinate: +-max|u - ref|, signed by the node of the max.
 def test_signed_distance_identity(grid199, sine):
-    assert signed_distance(sine, sine) == 0.0
+    assert diagram_coordinate(sine, sine) == 0.0
 
 
 def test_signed_distance_shifts(grid199, sine):
     phi = eigen_bump(grid199)
-    assert signed_distance(sine + phi * 0.3, sine) == pytest.approx(0.3, abs=1e-12)
-    assert signed_distance(sine - phi * 2.0, sine) == pytest.approx(-2.0, abs=1e-12)
+    assert diagram_coordinate(sine + phi * 0.3, sine) == pytest.approx(0.3, abs=1e-12)
+    assert diagram_coordinate(sine - phi * 2.0, sine) == pytest.approx(-2.0, abs=1e-12)
 
 
-def test_signed_distance_mixed_sign_rejected(grid199):
+def test_signed_distance_mixed_sign_takes_first_node_sign(grid199):
     vals = np.zeros(grid199.num_nodes)
     vals[0], vals[1] = 1.0, -1.0
-    with pytest.raises(OrderingViolationError):
-        signed_distance(GridFunction(grid199, vals), grid199.zeros())
+    assert diagram_coordinate(GridFunction(grid199, vals), grid199.zeros()) == 1.0
+    assert diagram_coordinate(GridFunction(grid199, -vals), grid199.zeros()) == -1.0
 
 
 def test_half_domain_grid():
@@ -123,6 +126,23 @@ def test_grid_function_grid_mismatch(grid199):
     other = build_grid(1, (0.0, 1.0), 99)
     with pytest.raises(UsageError):
         GridFunction(grid199, np.zeros(grid199.num_nodes)).same_grid(other.zeros())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e-300])
+def test_direction_cosine_of_underflowing_vectors(scale):
+    # the squares of these entries fall below the normal range, and from
+    # about 1e-162 to zero
+    phi = eigen_bump(build_grid(1, (0.0, 1.0), 49))
+    for u, v in ((phi * scale, phi), (phi, phi * scale), (phi * scale, phi * scale)):
+        assert 1.0 - 1e-15 <= direction_cosine(u, v) <= 1.0
+        assert -1.0 <= direction_cosine(-u, v) <= -1.0 + 1e-15
+
+
+def test_euclidean_norm_keeps_normal_range_values():
+    x = np.random.default_rng(0).standard_normal(199)
+    for scale in (1e-150, 1e-5, 1.0, 1e5, 1e150):  # plain norms in [sqrt(tiny), inf)
+        assert euclidean_norm(x * scale) == float(np.linalg.norm(x * scale))
 
 
 @pytest.mark.filterwarnings("error")

@@ -70,6 +70,46 @@ def test_no_private_attribute_lookup_by_name(path):
     assert private_lookups_by_name(path.read_text(encoding="utf-8")) == []
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def cross_module_private_reads(source: str) -> list[str]:
+    """``line: name`` for every ``_`` name (dunders aside) that the module
+    imports from another package module, or reads off a package module."""
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("hjbranch")):
+            found += [(node.lineno, a.name) for a in node.names if _private(a.name)]
+            if node.module in (None, "hjbranch"):  # from . import branches as br
+                modules.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname or a.name.split(".")[0] for a in node.names
+                           if a.name.startswith("hjbranch"))
+    for node in ast.walk(tree):
+        base = node
+        while isinstance(base, ast.Attribute):  # hjbranch.operators._gtsv
+            base = base.value
+        if (isinstance(node, ast.Attribute) and _private(node.attr)
+                and isinstance(base, ast.Name) and base.id in modules):
+            found.append((node.lineno, node.attr))
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reads_another_modules_private_names(path):
+    assert cross_module_private_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_cross_module_private_reads_are_found():
+    assert cross_module_private_reads(
+        "from .eigen import _inverse_iteration, principal_eigen\nfrom hjbranch.grids import _TINY\n"
+        "from . import branches as br\nimport hjbranch.operators\n"
+        "x = br._tags(u), br.mixed_mode(g), self._last, hjbranch.operators._gtsv, __version__\n"
+        ) == ["1: _inverse_iteration", "2: _TINY", "5: _gtsv", "5: _tags"]
+
+
 def test_every_export_resolves():
     """Each name in ``hjbranch.__all__`` is an attribute of the package, so
     a removed name cannot linger in the export list."""
