@@ -33,12 +33,12 @@ _MAX_ITERS = 5000
 
 
 def proper_shift(family: ControlFamily) -> float:
-    """Shift sigma > delta + 1 that makes F_h - sigma strictly proper
-    (zeroth-order total <= -1 for every control). It is delta + 1 for
-    delta <= 2^20; above that the margin grows with delta, so rounding
-    cannot absorb it (delta + 1 == delta from delta ~ 2^53)."""
+    """Shift sigma = max_a c_a + margin that makes F_h - sigma strictly
+    proper (zeroth-order total <= -1 for every control). The margin is 1,
+    or 16 ulps of delta = max_a |c_a| when that is larger, so rounding
+    cannot absorb it (max c + 1 == max c from |max c| ~ 2^53)."""
     delta = family.envelope.delta
-    return delta + max(1.0, delta * 2.0**-20)
+    return family.max_zeroth + max(1.0, delta * 2.0**-48)  # 16 eps = 2^-48
 
 
 @dataclass
@@ -83,10 +83,17 @@ def inverse_iteration(family: ControlFamily, grid: Grid, start: GridFunction,
         if rep.status != CONVERGED:
             raise EigenIterationError(
                 f"inner proper solve failed with status {rep.status} at iteration {it}")
-        if not _sign_ok(w.values, sign):
-            raise EigenIterationError(
-                f"iterate lost its sign at iteration {it}; shift inadmissible")
         nrm = sup_norm(w)
+        if not _sign_ok(w.values, sign):
+            # the proper shift keeps the exact inner solution in the cone, so
+            # the computed one left it by rounding. At sigma ~ 1e17 the
+            # solution, of size ~1/sigma, is a policy-iteration correction to
+            # a first iterate ~1e14 times larger, and the tolerance, guarded
+            # as if |w| >= 1, accepts an error as large as w itself
+            raise EigenIterationError(
+                f"iterate lost its sign at iteration {it}: the inner solve, accepted at "
+                f"residual {rep.final_residual:.3g} against its guarded tolerance "
+                f"{rep.tol:.3g}, does not resolve an iterate of sup norm {nrm:.3g}")
         lam_new = 1.0 / nrm - sigma
         u_new = w * (1.0 / nrm)
         resid = float(np.abs(op_plain.apply_flat(u_new.values) + lam_new * u_new.values).max())

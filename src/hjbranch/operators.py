@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -247,6 +248,7 @@ class _Stencil:
             self.links.append((w / h**2 + bp / h, w / h**2 - bm / h))
             self.diag = self.diag + (-2.0 * w / h**2 - (bp - bm) / h)
 
+        self.size = grid.num_nodes
         self.strides = [int(np.prod(grid.n[ax + 1:])) for ax in range(dim)]
         self.gates = []
         for ax, s in enumerate(self.strides):
@@ -262,11 +264,39 @@ class _Stencil:
         return [(np.where(gate, up[:-s], 0.0), np.where(gate, low[s:], 0.0))
                 for s, gate, (up, low) in zip(self.strides, self.gates, links)]
 
+    @cached_property
+    def csc_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indices, indptr, order) of the CSC form of every linearization:
+        its data is ``concat(diag, upper_0, lower_0, ...)[order]``, over the
+        diagonal and the linked pairs only, rows ascending in each column.
+        Built on the first matrix request, not with the operator."""
+        N = self.size
+        rows, cols, keep = [np.arange(N)], [np.arange(N)], [np.ones(N, dtype=bool)]
+        for s, gate in zip(self.strides, self.gates):
+            k = np.arange(N - s)
+            rows += [k, k + s]  # upper[k] at (k, k+s), lower[k] at (k+s, k)
+            cols += [k + s, k]
+            keep += [gate, gate]
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        order = np.flatnonzero(np.concatenate(keep))
+        order = order[np.lexsort((rows[order], cols[order]))]
+        indptr = np.searchsorted(cols[order], np.arange(N + 1))
+        return rows[order].astype(np.int32), indptr.astype(np.int32), order
+
 
 def _factor(A):
-    """``splu(A)``, looked up at call time; a singular A raises ``LinAlgError``."""
+    """``splu(A)`` with a minimum-degree column ordering on the pattern of
+    A^T + A, looked up at call time; a singular A raises ``LinAlgError``.
+
+    A stencil matrix is structurally symmetric, and its bordered form is
+    one row and column away from it; there this ordering fills far less
+    than SuperLU's default COLAMD on A^T A: 59.8k against 100.8k entries of
+    L + U on a 47^2 Fucik linearization. Partial pivoting stays on: the
+    bordered matrix has a zero diagonal entry, and -(L + lam) at lam_1^-
+    is no M-matrix.
+    """
     try:
-        return scipy.sparse.linalg.splu(A)
+        return scipy.sparse.linalg.splu(A, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise np.linalg.LinAlgError(str(exc)) from None
 
@@ -275,32 +305,34 @@ class Linearization:
     """Frozen-control linear map L with L u = apply(op, u) at the base point.
 
     Held as the diagonal plus one gated (upper, lower) band pair per axis
-    (see ``_Stencil.bands``); the 1D solve runs LAPACK gtsv on these bands
-    and the sparse matrix (2D) is built from them. A singular system or
-    non-finite solution raises ``np.linalg.LinAlgError``
-    (``scipy.linalg.LinAlgError``).
+    (see ``_Stencil.bands``); the 1D solve runs LAPACK gtsv on these bands,
+    and the sparse matrix (2D, and the bordered systems) gathers them into
+    the stencil's fixed CSC pattern. A singular system or non-finite
+    solution raises ``np.linalg.LinAlgError`` (``scipy.linalg.LinAlgError``).
     """
 
     def __init__(self, diag: np.ndarray, bands: list[tuple[np.ndarray, np.ndarray]],
-                 active: np.ndarray):
+                 active: np.ndarray, stencil: _Stencil):
         self.active = active
         self.diag = diag
         self.bands = bands
+        self._stencil = stencil
         self._matrix = None
         self._lu = None
         self._bordered = (None, None, None)  # (column, row, LU) of the last bordered solve
 
     @property
     def matrix(self) -> scipy.sparse.csc_matrix:
-        """L in CSC form, exact zeros dropped."""
+        """L in CSC form on the stencil's fixed pattern, exact zeros dropped."""
         if self._matrix is None:
+            indices, indptr, order = self._stencil.csc_pattern
+            data = np.concatenate([self.diag, *itertools.chain.from_iterable(self.bands)])
             N = self.diag.size
-            diagonals, offsets = [self.diag], [0]
-            for upper, lower in self.bands:
-                s = N - upper.size  # the band at offset s has N - s entries
-                diagonals += [upper, lower]
-                offsets += [s, -s]
-            self._matrix = scipy.sparse.diags(diagonals, offsets, format="csc")
+            # eliminate_zeros compacts indices in place, so the pattern is copied
+            A = scipy.sparse.csc_matrix((data[order], indices.copy(), indptr.copy()),
+                                        shape=(N, N))
+            A.eliminate_zeros()
+            self._matrix = A
         return self._matrix
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -447,7 +479,7 @@ class DiscreteOperator:
             return lin
         diag = st.diag[active]
         links = [(up[active], low[active]) for up, low in st.links]
-        lin = Linearization(diag, st.bands(links), active)
+        lin = Linearization(diag, st.bands(links), active, st)
         object.__setattr__(self, "_last", (key, lin))
         return lin
 

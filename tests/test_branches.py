@@ -505,11 +505,11 @@ def test_fold_with_reused_factors_matches_fresh_factors(monkeypatch):
         return linearize(op, u)
 
     class FreshFactors:
-        def __init__(self, A):
-            self.A = A.copy()
+        def __init__(self, A, **options):
+            self.A, self.options = A.copy(), options
 
         def solve(self, rhs):
-            return splu(self.A).solve(rhs)
+            return splu(self.A, **self.options).solve(rhs)
 
     monkeypatch.setattr(TwoPolicyFactors, "linearize", lambda memory, u: memory.op.linearize(u))
     monkeypatch.setattr(DiscreteOperator, "linearize", forgetful_linearize)

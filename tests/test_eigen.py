@@ -13,7 +13,7 @@ from hjbranch.checks import CheckSpec, _subdomain_gap, run_suite
 from hjbranch.eigen import principal_eigen, proper_shift
 from hjbranch.grids import build_grid, sup_norm
 from hjbranch.howard import guard_tol
-from hjbranch.operators import ControlFamily
+from hjbranch.operators import ControlFamily, DiscreteOperator
 
 
 def test_laplacian_eigenpair(grid199, laplacian, lam_h199, sine):
@@ -193,6 +193,39 @@ def test_proper_shift_is_delta_plus_one_up_to_2_pow_20():
         assert proper_shift(ControlFamily.fucik(delta)) == delta + 1.0
 
 
+def test_proper_shift_uses_the_signed_maximum_of_c(grid199):
+    # c in {-1e6, 3}: F_h - sigma is proper from sigma = 3 + 1, not |c| + 1
+    fam = ControlFamily.finite_sup([((1.0,), (0.0,), -1e6), ((1.0,), (0.0,), 3.0)])
+    sigma = proper_shift(fam)
+    assert sigma == 4.0
+    op = DiscreteOperator(fam, grid199, -sigma)
+    for seed in range(3):
+        lin = op.linearize(np.random.default_rng(seed).standard_normal(grid199.num_nodes))
+        assert set(lin.active.tolist()) == {0, 1}
+        # zeroth-order total per row: c_a - sigma <= -1, to rounding
+        assert np.asarray(lin.matrix.sum(axis=1)).max() <= -1.0 + 1e-9
+    pair = principal_eigen(fam, build_grid(1, (0.0, 1.0), 49), "+")
+    assert abs(pair.lam - (discrete_lam1(49) - 3.0)) <= 1e-8
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("family", [ControlFamily.linear(zeroth=-1e6),
+                                    ControlFamily.fucik(-1e6, -1e6)], ids=["linear", "fucik"])
+def test_large_negative_zeroth_order_converges(family, sign):
+    # sigma = -1e6 + 1 keeps lam_1 + sigma ~ 10; delta + 1 contracted at 1 - 3e-5
+    pair = principal_eigen(family, build_grid(1, (0.0, 1.0), 49), sign)
+    assert pair.iters <= 50
+    assert abs(pair.lam - (discrete_lam1(49) + 1e6)) <= 1e-8
+
+
+def test_unresolved_inner_solve_is_named_when_the_sign_is_lost():
+    # sigma ~ 1e17: the inner solution ~1e-17 is a policy-iteration correction
+    # to an iterate ~3e-3, so its rounding error reaches its own size
+    with pytest.raises(EigenIterationError, match="lost its sign at iteration .* does not "
+                                                  "resolve an iterate of sup norm"):
+        principal_eigen(ControlFamily.fucik(1e17), build_grid(1, (0.0, 1.0), 49), "-")
+
+
 @settings(max_examples=15, deadline=None)
 @given(small_problems())
 def test_mirror_identity_on_random_problems(problem):
@@ -242,11 +275,11 @@ def test_principal_eigen_with_remembered_factors_matches_fresh_factors(family, s
         return linearize(op, u)
 
     class FreshFactors:
-        def __init__(self, A):
-            self.A = A.copy()
+        def __init__(self, A, **options):
+            self.A, self.options = A.copy(), options
 
         def solve(self, rhs):
-            return splu(self.A).solve(rhs)
+            return splu(self.A, **self.options).solve(rhs)
 
     monkeypatch.setattr(TwoPolicyFactors, "linearize", lambda memory, u: memory.op.linearize(u))
     monkeypatch.setattr(DiscreteOperator, "linearize", forgetful_linearize)

@@ -14,6 +14,7 @@ from hjbranch.operators import (
     ControlFamily,
     DiscreteOperator,
     TwoPolicyFactors,
+    _factor,
     _neighbor_views,
 )
 
@@ -384,6 +385,77 @@ def test_two_policy_factors_remember_the_last_two_policies():
     assert memory.linearize(u) is not a  # evicted by the third policy
     assert memory.grid is grid and memory.matrix_scale() == op.matrix_scale()
     assert np.array_equal(memory.apply_flat(u), op.apply_flat(u))
+
+
+def diags_matrix(lin):
+    """L assembled the straightforward way: ``scipy.sparse.diags`` to CSC."""
+    N = lin.diag.size
+    diagonals, offsets = [lin.diag], [0]
+    for upper, lower in lin.bands:
+        s = N - upper.size  # the band at offset s has N - s entries
+        diagonals += [upper, lower]
+        offsets += [s, -s]
+    return scipy.sparse.diags(diagonals, offsets, format="csc")
+
+
+def _zero_diagonal_case(dim):
+    """A two-control family whose first control has a diagonal of exactly 0
+    (dyadic h and coefficients), and drift of both signs on every axis."""
+    if dim == 1:
+        grid = build_grid(1, (0.0, 1.0), 3)  # h = 1/4: -2/h^2 - 0.5/h = -34
+        controls = [((1.0,), (0.5,), 34.0), ((1.0,), (-0.5,), -1.0)]
+    else:
+        grid = build_grid(2, ((0.0, 1.0), (0.0, 2.0)), (3, 3))  # h = (1/4, 1/2): -34 - 9
+        controls = [(np.diag([1.0, 1.0]), (0.5, -0.5), 43.0),
+                    (np.diag([2.0, 1.0]), (-0.5, 0.5), -1.0)]
+    return DiscreteOperator(ControlFamily.finite_sup(controls), grid, 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_matrix_on_the_fixed_pattern_equals_the_diags_assembly(dim):
+    grid, families = stencil_grid(dim, False)  # the 2D grid has unequal h
+    for seed, fam in enumerate(families.values()):
+        u = np.random.default_rng(seed).standard_normal(grid.num_nodes)
+        lin = DiscreteOperator(fam, grid, -3.0).linearize(u)
+        assert_same_csc(lin.matrix, diags_matrix(lin))
+
+    op = _zero_diagonal_case(dim)
+    zero_rows = 0
+    for seed in range(4):
+        lin = op.linearize(np.random.default_rng(seed).standard_normal(op.grid.num_nodes))
+        zero_rows += np.count_nonzero(lin.diag == 0.0)
+        assert_same_csc(lin.matrix, diags_matrix(lin))
+    assert zero_rows > 0  # eliminate_zeros dropped a diagonal entry
+
+
+def _near_resonant_linearization():
+    """A 47^2 Fucik linearization, both controls active, whose shift sits
+    1e-3 * lam_h below lam_1^-: about 0.02 from singular."""
+    n = 47
+    grid = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (n, n))
+    lam_h = 2.0 * discrete_lam1(n)
+    x, y = grid.coords()[:, 0], grid.coords()[:, 1]
+    u = -np.sin(np.pi * x) * np.sin(np.pi * y)
+    u[[0, n - 1, n * n - n, n * n - 1]] = 1.0  # the b_plus control at the corners
+    op = DiscreteOperator(ControlFamily.fucik(lam_h + 4.0, dim=2), grid, lam_h * (1.0 - 1e-3))
+    lin = op.linearize(u)
+    assert set(lin.active.tolist()) == {0, 1}
+    return lin
+
+
+def test_factor_ordering_fills_less_than_colamd():
+    A = _near_resonant_linearization().matrix
+    ordered, colamd = _factor(A), scipy.sparse.linalg.splu(A)
+    # a count, not a timing: 59,832 against 100,782 entries with SciPy 1.17
+    assert ordered.L.nnz + ordered.U.nnz <= 0.7 * (colamd.L.nnz + colamd.U.nnz)
+
+
+def test_factor_ordering_solves_as_colamd_near_resonance():
+    lin = _near_resonant_linearization()
+    colamd = scipy.sparse.linalg.splu(lin.matrix)
+    for rhs in (np.ones(lin.diag.size), np.random.default_rng(8).standard_normal(lin.diag.size)):
+        x, ref = lin.solve(rhs), colamd.solve(rhs)
+        assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 def test_homogeneity_exact_on_positive_eigenfunction(grid199, sine):

@@ -13,8 +13,8 @@ comparison. Two checkouts give byte-identical payloads when the outputs of
 ``cli1d`` reads ``ok``), or ``raised`` with the digest of the exception.
 
 A last group, ``cli``, runs the CLI cases no benchmark op covers: ``solve``
-on every shipped scenario at ``solve_t`` -0.5 and 1.0 (some of them end in
-the exit-4 fallback), ``eigen`` on 2D copies of ``fucik_fold`` and
+on every shipped scenario at ``solve_t`` -0.5 and 1.0 (two of them lie below
+t*, where no solution exists), ``eigen`` on 2D copies of ``fucik_fold`` and
 ``pucci_eigen`` (31^2, 15^2 under ``--smoke``), ``eigen`` on 1D copies of
 ``laplacian_eigen`` and ``pucci_eigen`` at n=1599, a grid whose rounding floor
 lies above the eigen residual target's 1e-9, and ``branch`` then ``diagram``
@@ -25,10 +25,11 @@ of the check battery on a 2D grid. Three refusals close it: ``branch`` on
 ``fucik_subcritical`` at lam 20 (above the negative-regime window), ``tstar``
 on ``fucik_subcritical`` at lam 0 (at neither eigenvalue) and ``suite`` on a 1D
 [0, 2] copy of ``laplacian_eigen`` at n=49 (T1.1 outside its regime). Its
-``ok`` means the expected exit code: 2 for the refusals, 0 for the rest; the
-digest covers the exit code, standard error and every output file except
-``run.json`` (after ``diagram``, the branch files too). It does not depend on
-``--seed``.
+``ok`` means the expected exit code: 2 for the refusals, 4 for ``solve`` at
+-0.5 on ``fucik_fold`` (t* = 0, as h = 0) and ``resonance_minus`` (t* ~ -0.26),
+and 0 for the rest; the digest covers the exit code, standard error and every
+output file except ``run.json`` (after ``diagram``, the branch files too). It
+does not depend on ``--seed``.
 """
 
 from __future__ import annotations
@@ -74,7 +75,9 @@ def cli_lines(smoke: bool, workdir: Path) -> list[str]:
     for path in sorted(shipped.glob("*.json")):
         data = json.loads(path.read_text(encoding="utf-8"))
         for t in (-0.5, 1.0):
-            cases.append((f"solve {path.stem} t={t}", "solve", {**data, "solve_t": t}, None, 0))
+            below_tstar = t == -0.5 and path.stem in ("fucik_fold", "resonance_minus")
+            cases.append((f"solve {path.stem} t={t}", "solve", {**data, "solve_t": t}, None,
+                          4 if below_tstar else 0))
     n = 15 if smoke else 31
     for name in ("fucik_fold", "pucci_eigen"):
         data = json.loads((shipped / f"{name}.json").read_text(encoding="utf-8"))
