@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import principal_eigen
+from .eigen import EigenPair, principal_eigen
 from .errors import (
     BracketError,
     ConfigurationError,
@@ -69,7 +69,9 @@ from .operators import ControlFamily, DiscreteOperator, TwoPolicyFactors
 
 AT_LAM_PLUS = "at_lam_plus"
 AT_LAM_MINUS = "at_lam_minus"
-_RESONANCE_REGIMES = {"+": "resonance_plus", "-": "resonance_minus"}
+# the resonance at lam_1^+ ('+') and at lam_1^- ('-'): (regime, CriticalReport kind)
+_RESONANCES = {"+": ("resonance_plus", "ResonancePlus"),
+               "-": ("resonance_minus", "ResonanceMinus")}
 
 
 @dataclass
@@ -109,8 +111,6 @@ class BranchPoint:
 @dataclass
 class Branch:
     points: list[BranchPoint]
-    reference: GridFunction
-    lam: float
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -155,12 +155,6 @@ class BranchContext:
         self.lam = (float(cfg.lam) if base is None else base) + cfg.lam_offset
 
     @property
-    def is_degenerate(self) -> bool:
-        """Both eigenvalues (numerically) coincide: every member operator
-        shares its principal pair, and resonance modes are refused."""
-        return self.eig_minus.lam - self.eig_plus.lam <= 1e-6
-
-    @property
     def regime(self) -> str:
         """Where lam sits against lam_1^+ <= lam_1^-, the one decision that
         picks an exploration mode: 'resonance_plus' or 'resonance_minus'
@@ -201,7 +195,21 @@ class BranchContext:
     @property
     def resonance_sign(self) -> str | None:
         """'+' or '-' at resonance with lam_1^+ or lam_1^-, None elsewhere."""
-        return {"resonance_plus": "+", "resonance_minus": "-"}.get(self.regime)
+        return next((s for s, (r, _) in _RESONANCES.items() if r == self.regime), None)
+
+    def resonant_pair(self, sign: str) -> EigenPair:
+        """The gate of the resonance modes: the eigenpair lam sits at for
+        ``sign``. A degenerate family (lam_1^- - lam_1^+ <= 1e-6) raises
+        ``RegimeError``, a sign other than '+' or '-' ``ConfigurationError``,
+        and lam off that eigenvalue fails ``require``."""
+        if self.eig_minus.lam - self.eig_plus.lam <= 1e-6:
+            raise RegimeError(
+                "family is spectrally degenerate (lam_1^+ ~= lam_1^-); resonance "
+                "modes are refused for such families")
+        if sign not in _RESONANCES:
+            raise ConfigurationError("sign must be '+' or '-'")
+        self.require(_RESONANCES[sign][0])
+        return self.eig_plus if sign == "+" else self.eig_minus
 
     def rhs(self, t: float) -> GridFunction:
         return self.eig_plus.phi * t + self.h
@@ -313,6 +321,16 @@ def _ordering(points: list[BranchPoint]) -> dict:
             "convexity_violation": convexity, "convexity_slack": 1e-9 * scale}
 
 
+def _require_ordered(order: dict, what: str) -> None:
+    """The ordered-branch verdict on an ``_ordering`` result: raise
+    ``RegimeError``, prefixed by ``what``, unless the branch strictly
+    decreases and is midpoint convex within its slack."""
+    if order["strict_decrease_gap"] <= 0:
+        raise RegimeError(f"{what} not strictly decreasing (gap {order['strict_decrease_gap']})")
+    if order["convexity_violation"] > order["convexity_slack"]:
+        raise RegimeError(f"{what} violates midpoint convexity by {order['convexity_violation']}")
+
+
 # ---------------------------------------------------------------------------
 # 1. strictly subcritical sweep
 # ---------------------------------------------------------------------------
@@ -337,14 +355,10 @@ def sweep_subcritical(cfg: BranchConfig, ctx: BranchContext | None = None) -> Br
     ds = [p.d for p in points]
     d_monotone = all(ds[i] > ds[i + 1] for i in range(len(ds) - 1))
     diagnostics = {**order, "lipschitz": lipschitz, "d_monotone": d_monotone}
-    if order["strict_decrease_gap"] <= 0:
-        raise RegimeError(
-            f"branch not strictly decreasing (gap {order['strict_decrease_gap']})")
-    if order["convexity_violation"] > order["convexity_slack"]:
-        raise RegimeError(f"midpoint convexity violated by {order['convexity_violation']}")
+    _require_ordered(order, "branch")
     if not d_monotone:
         raise RegimeError("signed distance not strictly monotone along the branch")
-    return Branch(points, ref, ctx.lam, diagnostics)
+    return Branch(points, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -375,15 +389,7 @@ def locate_tstar_resonance(cfg: BranchConfig, sign: str,
     extrapolated over the ladder. lam must sit at lam_1^(sign).
     """
     ctx = ctx or prepare(cfg)
-    if ctx.is_degenerate:
-        raise RegimeError(
-            "family is spectrally degenerate (lam_1^+ ~= lam_1^-); resonance "
-            "modes are refused for such families")
-    if sign not in ("+", "-"):
-        raise ConfigurationError("sign must be '+' or '-'")
-    ctx.require(_RESONANCE_REGIMES[sign])
-    lam_star = ctx.eig_plus.lam if sign == "+" else ctx.eig_minus.lam
-    phi_dir = ctx.eig_plus.phi if sign == "+" else ctx.eig_minus.phi
+    pair = ctx.resonant_pair(sign)
     t_lo0, t_hi0 = cfg.t_range
 
     boundaries: list[float] = []
@@ -392,7 +398,7 @@ def locate_tstar_resonance(cfg: BranchConfig, sign: str,
     level_tables: list[dict] = []
 
     for eps in (2.0 ** (-k) for k in range(1, cfg.resonance_levels + 1)):
-        lam_k = lam_star - eps if sign == "+" else lam_star + eps
+        lam_k = pair.lam - eps if sign == "+" else pair.lam + eps
         op_k = ctx.operator(lam_k)
         tau = min(1e7, 1.0 / (10.0 * math.sqrt(eps)))
         blowup_norm = max(1e8, 1e4 * tau)
@@ -406,15 +412,15 @@ def locate_tstar_resonance(cfg: BranchConfig, sign: str,
                 starts.append(nearest[1])
             starts.append(None)
             if sign == "-":
-                starts.append(phi_dir * (0.5 * tau))
-                starts.append(phi_dir * (2.0 * tau))
+                starts.append(pair.phi * (0.5 * tau))
+                starts.append(pair.phi * (2.0 * tau))
             u, rep = solve_with_starts(op_k, f, starts, blowup_norm)
             diverged = rep.status == DIVERGED
             if not (rep.converged or diverged):
                 # no convergence, no clear blow-up: counted on the resonant side
                 return True, float("nan"), float("nan")
             norm = sup_norm(u)
-            cosine = direction_cosine(u, phi_dir)
+            cosine = direction_cosine(u, pair.phi)
             if rep.converged:
                 solutions.append((t, u))
             return cosine >= 0.99 and (diverged or norm >= tau), norm, cosine
@@ -458,8 +464,6 @@ def locate_tstar_resonance(cfg: BranchConfig, sign: str,
     # must be monotone within bracket tolerance
     tail = min(len(boundaries), 5)
     for i in range(len(boundaries) - tail, len(boundaries) - 1):
-        if i < 0:
-            continue
         slack = widths[i] + widths[i + 1] + 1e-12
         if boundaries[i + 1] < boundaries[i] - slack:
             raise UnstableDetectionError(
@@ -469,14 +473,13 @@ def locate_tstar_resonance(cfg: BranchConfig, sign: str,
     halfw = max(3.0 * widths[-1], abs(t_hat - boundaries[-1]),
                 0.75 * abs(boundaries[-1] - boundaries[-2]) if len(boundaries) > 1 else 0.0,
                 1e-9)
-    kind = "ResonancePlus" if sign == "+" else "ResonanceMinus"
     return CriticalReport(
         t_star=t_hat,
         bracket=(t_hat - halfw, t_hat + halfw),
-        kind=kind,
+        kind=_RESONANCES[sign][1],
         blowup_evidence=evidence,
         diagnostics={"boundaries": boundaries, "widths": widths,
-                     "levels": level_tables, "lam_star": lam_star},
+                     "levels": level_tables, "lam_star": pair.lam},
     )
 
 
@@ -516,19 +519,14 @@ def trace_resonant_branch(cfg: BranchConfig, crit: CriticalReport,
     negative sector is probed with eigen-direction ladders (negativity of
     large solutions, interior decay, and a ray check as evidence).
     """
-    sign = {"ResonancePlus": "+", "ResonanceMinus": "-"}.get(crit.kind)
+    sign = next((s for s, (_, kind) in _RESONANCES.items() if kind == crit.kind), None)
     if sign is None:
         raise RegimeError(f"resonance tracing needs a resonance report, got kind {crit.kind!r}")
     t_star = crit.t_star
     bracket_halfwidth = 0.5 * (crit.bracket[1] - crit.bracket[0])
     ctx = ctx or prepare(cfg)
-    if ctx.is_degenerate:
-        raise RegimeError("resonance tracing refused for spectrally degenerate families")
-    ctx.require(_RESONANCE_REGIMES[sign])
-    lam = ctx.eig_plus.lam if sign == "+" else ctx.eig_minus.lam
-    op = ctx.operator(lam)
-    phi_plus = ctx.eig_plus.phi
-    phi_minus = ctx.eig_minus.phi
+    pair = ctx.resonant_pair(sign)
+    op = ctx.operator(pair.lam)
     t_max = cfg.t_range[1]
     if t_max <= t_star + 1.0:
         raise ConfigurationError("t_range must extend at least 1.0 above t_star")
@@ -541,6 +539,8 @@ def trace_resonant_branch(cfg: BranchConfig, crit: CriticalReport,
     # near t* the bounded sector of sign '-' may be unreachable
     points = _sweep(ctx, op, ts_desc, lambda t: ctx.ladder(scale0), "resonant sweep",
                     skip_unsolved=sign == "-")
+    if not points:
+        raise RegimeError(f"resonant sweep solved no t in [{t_star}, {t_max}]")
     probes: dict[float, dict] = {}
     if sign == "+":
         for p in [p for p in points if p.t >= t_star + 0.05][:6]:
@@ -559,16 +559,16 @@ def trace_resonant_branch(cfg: BranchConfig, crit: CriticalReport,
 
     if sign == "+":
         big = [p for p in points if p.t - t_star >= 0.4]
-        if points and points[0].t - t_star <= 2.0 * margins[-1]:
+        if points[0].t - t_star <= 2.0 * margins[-1]:
             u_star = points[0].u
             ray, ray_tol = _ray_check(op, ctx, points, t_star, bracket_halfwidth, u_star,
-                                      phi_plus, (1.0, 2.0, 5.0))
+                                      pair.phi, (1.0, 2.0, 5.0))
             bounded = sup_norm(u_star) <= 10.0 * (1.0 + max(sup_norm(p.u) for p in big)) \
                 if big else True
             if bounded and all(r <= ray_tol for r in ray.values()):
                 diagnostics["alternative"] = "ii"
                 diagnostics["u_star_norm"] = sup_norm(u_star)
-            elif not bounded and direction_cosine(u_star, phi_plus) >= 0.99 \
+            elif not bounded and direction_cosine(u_star, pair.phi) >= 0.99 \
                     and u_star.min() > 0:
                 diagnostics["alternative"] = "i"
             else:
@@ -584,13 +584,13 @@ def trace_resonant_branch(cfg: BranchConfig, crit: CriticalReport,
     else:
         # unbounded negative sector: eigen-direction ladder at the smallest
         # bounded margin; large solutions must be negative with interior decay
-        anchor = points[0].u if points else ctx.grid.zeros()
+        anchor = points[0].u
         scales = (1.0, 2.0, 5.0, 50.0)
         ray, ray_tol = _ray_check(op, ctx, points, t_star, bracket_halfwidth, anchor,
-                                  phi_minus, scales)
+                                  pair.phi, scales)
         ladder_stats = []
         for s in scales:
-            cand = anchor + phi_minus * s
+            cand = anchor + pair.phi * s
             ladder_stats.append({
                 "s": s,
                 "norm": sup_norm(cand),
@@ -603,7 +603,7 @@ def trace_resonant_branch(cfg: BranchConfig, crit: CriticalReport,
         # non-existence probe below / existence above the critical value
         census_below = basin_census(op, ctx.rhs(t_star - 0.5), ctx.ladder(scale0))
         census_above = basin_census(op, ctx.rhs(t_star + 0.5),
-                                    ctx.ladder(scale0) + ([points[0].u] if points else []))
+                                    ctx.ladder(scale0) + [points[0].u])
         diagnostics["nonexistence_below"] = len(census_below) == 0
         diagnostics["existence_above"] = len(census_above) >= 1
 
@@ -611,14 +611,11 @@ def trace_resonant_branch(cfg: BranchConfig, crit: CriticalReport,
     ordered = points if sign == "+" else [p for p in points if p.t >= t_star + 0.05]
     diagnostics.update(_ordering(ordered))
     if sign == "+":
-        if diagnostics["strict_decrease_gap"] <= 0:
-            raise RegimeError("resonant branch lost strict ordering")
-        if diagnostics["convexity_violation"] > diagnostics["convexity_slack"]:
-            raise RegimeError("resonant branch lost midpoint convexity")
+        _require_ordered(diagnostics, "resonant branch")
         bad = [t for t, pr in probes.items() if not pr["agree"]]
         if bad:
             raise RegimeError(f"uniqueness probe failed at t={bad}")
-    return Branch(points, ref, lam, diagnostics)
+    return Branch(points, diagnostics)
 
 
 def _ray_check(op: DiscreteOperator, ctx: BranchContext, points: list[BranchPoint],
@@ -627,13 +624,11 @@ def _ray_check(op: DiscreteOperator, ctx: BranchContext, points: list[BranchPoin
     """Residuals of anchor + s*phi in the t* equation for each s, and the
     tolerance they are held to: the t* bracket plus the distance of the
     first point from t* times the local Lipschitz estimate of the branch."""
-    ray_tol = 1e-4
-    if points:
-        lip = 0.0
-        if len(points) > 1:
-            p, q = points[0], points[1]
-            lip = sup_norm(p.u - q.u) / max(q.t - p.t, 1e-300)
-        ray_tol = 2.0 * (bracket_halfwidth + (points[0].t - t_star) * max(lip, 1.0)) + 1e-8
+    lip = 0.0
+    if len(points) > 1:
+        p, q = points[0], points[1]
+        lip = sup_norm(p.u - q.u) / max(q.t - p.t, 1e-300)
+    ray_tol = 2.0 * (bracket_halfwidth + (points[0].t - t_star) * max(lip, 1.0)) + 1e-8
     f_star = ctx.rhs(t_star)
     return {s: _residual(op, anchor + phi * s, f_star) for s in scales}, ray_tol
 
@@ -738,6 +733,8 @@ def trace_fold(cfg: BranchConfig, ctx: BranchContext | None = None
         ctx, op, np.linspace(t_max, t_min, cfg.n_samples))
     if not minimal_points:
         raise FoldTraceError("no minimal solutions found anywhere in t_range")
+    order = _ordering(minimal_points)
+    _require_ordered(order, "minimal branch")
 
     # second branch by continuation from the top
     t_top = minimal_points[-1].t
@@ -784,11 +781,10 @@ def trace_fold(cfg: BranchConfig, ctx: BranchContext | None = None
     _set_d(minimal_points, ref)
     _set_d(second_points, ref)
 
-    order = _ordering(minimal_points)
-    minimal = Branch(minimal_points, ref, ctx.lam, {
+    minimal = Branch(minimal_points, {
         k: order[k] for k in ("convexity_violation", "strict_decrease_gap")})
     # points kept in continuation (path) order so the folded polyline renders
-    second = Branch(second_points, ref, ctx.lam, {"fold_index": fold_idx})
+    second = Branch(second_points, {"fold_index": fold_idx})
 
     # distinctness above the fold, on the pre-fold segment of the path
     margin = 0.1 * (t_max - t_star)
@@ -1021,7 +1017,7 @@ def sweep_negative_regime(cfg: BranchConfig, ctx: BranchContext | None = None) -
     bad = [k for k, st in antimax.items() if not st["max"] < 0]  # NaN fails too
     if bad:
         raise RegimeError(f"antimaximum check failed for k={bad}")
-    return Branch(points, ref, ctx.lam, diagnostics)
+    return Branch(points, diagnostics)
 
 
 def antimaximum_probe(op: DiscreteOperator, phi: GridFunction, gap: float) -> dict:

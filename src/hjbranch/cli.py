@@ -336,7 +336,7 @@ def _cmd_eigen(sc: Scenario, out: Path) -> int:
     if all(n >= 7 and n % 2 == 1 for n in grid.n):
         coarse = Grid(grid.dim, grid.extents, tuple((n - 1) // 2 for n in grid.n))
         for tag, pair in (("plus", plus), ("minus", minus)):
-            lam_c = principal_eigen(fam, coarse, "+" if tag == "plus" else "-").lam
+            lam_c = principal_eigen(fam, coarse, pair.sign).lam
             richardson[tag] = (4.0 * pair.lam - lam_c) / 3.0
     write_json(out / "summary.json", {
         "grid": grid, "plus": plus.as_dict(), "minus": minus.as_dict(),

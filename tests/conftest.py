@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import assume
 from hypothesis import strategies as st
 
@@ -156,3 +157,24 @@ def small_problems(draw):
     except AdmissibilityError:
         assume(False)
     return family, grid
+
+
+_linearize, _splu = DiscreteOperator.linearize, scipy.sparse.linalg.splu
+
+
+def forgetful_linearize(op, u):
+    """``DiscreteOperator.linearize`` with the operator's memory cleared
+    first, so that every linearization is built anew."""
+    object.__setattr__(op, "_last", (None, None))
+    return _linearize(op, u)
+
+
+class FreshFactors:
+    """Stand-in for ``splu`` that factors its matrix anew, with the same
+    options, at every solve."""
+
+    def __init__(self, A, **options):
+        self.A, self.options = A.copy(), options
+
+    def solve(self, rhs):
+        return _splu(self.A, **self.options).solve(rhs)

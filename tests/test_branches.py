@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import discrete_lam1, uniqueness_probe_at
+from conftest import FreshFactors, discrete_lam1, forgetful_linearize, uniqueness_probe_at
 import hjbranch.branches
 import hjbranch.checks
 from hjbranch.checks import CheckSpec, _teo6_family, run_suite
@@ -106,6 +106,27 @@ def test_locate_tstar_refuses_degenerate_family(grid199, laplacian):
     cfg = BranchConfig(laplacian, grid199, AT_LAM_PLUS, (-3.0, 3.0))
     with pytest.raises(RegimeError):
         locate_tstar_resonance(cfg, "+")
+
+
+def test_trace_resonant_branch_refuses_a_degenerate_family_as_locate_does(
+        grid199, laplacian, monkeypatch):
+    cfg = BranchConfig(laplacian, grid199, AT_LAM_PLUS, (-3.0, 3.0))
+    with pytest.raises(RegimeError) as located:
+        locate_tstar_resonance(cfg, "+")
+    calls = _count_solves(monkeypatch)
+    with pytest.raises(RegimeError) as traced:
+        trace_resonant_branch(cfg, CriticalReport(0.0, (-1e-4, 1e-4), "ResonancePlus"))
+    assert str(traced.value) == str(located.value) == (
+        "family is spectrally degenerate (lam_1^+ ~= lam_1^-); resonance modes are "
+        "refused for such families")
+    assert not isinstance(traced.value, ConfigurationError)
+    assert calls == []
+
+
+def test_locate_tstar_refuses_an_unknown_sign():
+    with pytest.raises(ConfigurationError, match=r"^sign must be '\+' or '-'$") as exc:
+        locate_tstar_resonance(_resonance_minus_cfg(), "x")
+    assert not isinstance(exc.value, RegimeError)
 
 
 def test_trace_resonant_plus(grid199, lam_h199):
@@ -238,6 +259,25 @@ def test_trace_fold_continues_the_phi_aligned_second_solution():
     assert crit.kind == "Fold" and abs(crit.t_star) < 1e-6
     assert second.points[0].u.max() > 0 and second.points[0].u.min() > -1e-8
     assert minimal.diagnostics["branch_gap_min"] > 1e-4
+
+
+def test_trace_fold_refuses_a_minimal_branch_that_does_not_decrease(monkeypatch):
+    minimal_branch = hjbranch.branches._minimal_branch
+    census = []
+
+    def flat_top(ctx, op, ts_desc):
+        # the top point repeats the solution of its neighbour below
+        points, fail_bracket = minimal_branch(ctx, op, ts_desc)
+        points[-1].u = points[-2].u
+        return points, fail_bracket
+
+    monkeypatch.setattr(hjbranch.branches, "_minimal_branch", flat_top)
+    monkeypatch.setattr(hjbranch.branches, "basin_census", lambda *args, **kw: census.append(1))
+    cfg = BranchConfig(ControlFamily.fucik(15.0), build_grid(1, (0.0, 1.0), 49), 0.0,
+                       (-1.0, 3.0), 9)
+    with pytest.raises(RegimeError, match=r"^minimal branch not strictly decreasing \(gap 0\.0\)$"):
+        trace_fold(cfg)
+    assert census == []
 
 
 def test_trace_fold_wrong_regime(grid199):
@@ -466,6 +506,17 @@ def test_sweep_driver_unsolved_parameter(monkeypatch):
         sweep_subcritical(cfg, ctx)
 
 
+def test_resonant_sweep_that_solves_no_t_is_refused(monkeypatch):
+    from hjbranch.howard import MAX_ITERS, SolveReport
+
+    cfg = _resonance_minus_cfg()
+    crit = CriticalReport(-0.26, (-0.2601, -0.2599), "ResonanceMinus")
+    monkeypatch.setattr(hjbranch.branches, "solve_with_starts",
+                        lambda op, f, *args, **kwargs: (f.grid.zeros(), SolveReport(MAX_ITERS, 0)))
+    with pytest.raises(RegimeError, match=r"^resonant sweep solved no t in \[-0\.26, 3\.0\]$"):
+        trace_resonant_branch(cfg, crit)
+
+
 def test_sweep_driver_drops_unsolved_parameter_at_resonance_minus(monkeypatch):
     g = build_grid(1, (0.0, 1.0), 49)
     x = g.coords()[:, 0]
@@ -498,19 +549,6 @@ def test_fold_with_reused_factors_matches_fresh_factors(monkeypatch):
     shipped = trace_fold(_small_fold_cfg())
 
     # every linearization built anew, every solve on factors made for it
-    linearize, splu = DiscreteOperator.linearize, scipy.sparse.linalg.splu
-
-    def forgetful_linearize(op, u):
-        object.__setattr__(op, "_last", (None, None))
-        return linearize(op, u)
-
-    class FreshFactors:
-        def __init__(self, A, **options):
-            self.A, self.options = A.copy(), options
-
-        def solve(self, rhs):
-            return splu(self.A, **self.options).solve(rhs)
-
     monkeypatch.setattr(TwoPolicyFactors, "linearize", lambda memory, u: memory.op.linearize(u))
     monkeypatch.setattr(DiscreteOperator, "linearize", forgetful_linearize)
     monkeypatch.setattr(scipy.sparse.linalg, "splu", FreshFactors)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import discrete_lam1, eigen_bisect_crosscheck, small_problems
+from conftest import (FreshFactors, discrete_lam1, eigen_bisect_crosscheck,
+                      forgetful_linearize, small_problems)
 from hjbranch.errors import BracketError, EigenIterationError
 import hjbranch.checks
 import hjbranch.eigen
@@ -268,19 +269,6 @@ def test_principal_eigen_with_remembered_factors_matches_fresh_factors(family, s
     shipped = principal_eigen(family, GRID15, sign)
 
     # no memory, every linearization built anew, every solve on factors made for it
-    linearize, splu = DiscreteOperator.linearize, scipy.sparse.linalg.splu
-
-    def forgetful_linearize(op, u):
-        object.__setattr__(op, "_last", (None, None))
-        return linearize(op, u)
-
-    class FreshFactors:
-        def __init__(self, A, **options):
-            self.A, self.options = A.copy(), options
-
-        def solve(self, rhs):
-            return splu(self.A, **self.options).solve(rhs)
-
     monkeypatch.setattr(TwoPolicyFactors, "linearize", lambda memory, u: memory.op.linearize(u))
     monkeypatch.setattr(DiscreteOperator, "linearize", forgetful_linearize)
     monkeypatch.setattr(scipy.sparse.linalg, "splu", FreshFactors)

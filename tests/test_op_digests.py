@@ -21,3 +21,5 @@ def test_smoke_digests_repeat_with_one_hex_digest_per_op():
     assert first == second
     assert {line.split()[0] for line in first} == {"fold2d", "tstar2d", "cli1d", "cli"}
     assert [line for line in first if not LINE.match(line)] == []
+    # every gate holds: a line reading FAIL or raised is a regression
+    assert [line for line in first if LINE.match(line).group(2) != "ok"] == []
