@@ -28,7 +28,7 @@ three levels).
 In the non-uniqueness regimes the inner solver returns whichever
 solution its basin reaches; all multi-solution statements here steer
 basins explicitly through start ladders, and every emitted branch point
-re-verifies its residual with a fresh operator application.
+reports the residual of a fresh operator application on its own u.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import EigenPair, principal_eigen
+from .eigen import EigenPair, principal_eigen, proper_shift
 from .errors import (
     BracketError,
     ConfigurationError,
@@ -145,7 +145,7 @@ class BranchContext:
             dist = min(sup_norm(unit - self.eig_plus.phi), sup_norm(unit + self.eig_plus.phi))
             if dist < 1e-6:
                 raise ConfigurationError(
-                    "h_fun is (numerically) a multiple of the positive eigenfunction")
+                    "h_fun: is (numerically) a multiple of the positive eigenfunction")
         scale = 1.0 + abs(self.eig_minus.lam)
         if cfg.family.is_convex and self.eig_plus.lam > self.eig_minus.lam + 1e-8 * scale:
             raise RegimeError(
@@ -529,7 +529,9 @@ def trace_resonant_branch(cfg: BranchConfig, crit: CriticalReport,
     op = ctx.operator(pair.lam)
     t_max = cfg.t_range[1]
     if t_max <= t_star + 1.0:
-        raise ConfigurationError("t_range must extend at least 1.0 above t_star")
+        raise ConfigurationError(
+            f"branch.t_range: must extend at least 1.0 above t_star (ends at {t_max}, "
+            f"t_star = {t_star})")
 
     margins = [m for m in (2.0 ** (-j) for j in range(0, 11)) if t_star + m < t_max]
     outer = np.linspace(t_max, t_star + 1.0, max(cfg.n_samples, 5))
@@ -638,40 +640,36 @@ def _ray_check(op: DiscreteOperator, ctx: BranchContext, points: list[BranchPoin
 # ---------------------------------------------------------------------------
 
 
-def _negative_subsolution(ctx: BranchContext, op: DiscreteOperator, t: float
-                          ) -> GridFunction:
-    """Negative solution of (F+lam)[v] = max(t,1)*phi + h^+, scaled to a
-    certified discrete subsolution below the solution set."""
-    rhs = ctx.eig_plus.phi * max(t, 1.0) + GridFunction(
+def _minimal_point(ctx: BranchContext, op: DiscreteOperator, op_proper: DiscreteOperator,
+                   s0: float, t: float) -> BranchPoint | None:
+    """Minimal solution at t, or None if the iterates blow up (no solution
+    at this t).
+
+    A negative solution of (F+lam)[v] = max(t,1)*phi + h^+ is scaled until
+    it is a certified discrete subsolution below the solution set; the
+    increasing fixed-point iteration from it, with inner solves on the
+    proper operator ``op_proper`` = op - s0, stops at the minimal solution
+    above it. The point is recorded with the residual and tolerance of the
+    stop test that accepted it."""
+    barrier_rhs = ctx.eig_plus.phi * max(t, 1.0) + GridFunction(
         ctx.grid, np.maximum(ctx.h.values, 0.0), check_finite=False)
     starts = [eigen_bump(ctx.grid) * (-s) for s in (1.0, 10.0, 100.0)]
-    v, rep = solve_with_starts(op, rhs, starts)
+    v, rep = solve_with_starts(op, barrier_rhs, starts)
     if not rep.converged or v.max() > 1e-12 * (1.0 + sup_norm(v)):
         raise FoldTraceError(f"could not construct the negative barrier at t={t}")
     f = ctx.rhs(t)
     k = 2.0
     for _ in range(40):
-        u0 = v * k
-        slack = 1e-10 * (1.0 + sup_norm(u0))
-        if float((op.apply_flat(u0.values) - f.values).min()) >= -slack:
-            return u0
+        u = v * k
+        if float((op.apply_flat(u.values) - f.values).min()) >= -1e-10 * (1.0 + sup_norm(u)):
+            break
         k *= 2.0
-    raise FoldTraceError("subsolution scaling did not certify")
+    else:
+        raise FoldTraceError("subsolution scaling did not certify")
 
-
-def _monotone_minimal(ctx: BranchContext, op: DiscreteOperator, op_proper: DiscreteOperator,
-                      s0: float, t: float, u0: GridFunction) -> GridFunction | None:
-    """Increasing fixed-point iteration from a subsolution, with inner
-    solves on the proper operator ``op_proper`` = op - s0.
-
-    Returns the minimal solution above u0, or None if the iterates blow
-    up (no solution at this t)."""
-    f = ctx.rhs(t)
-    u = u0
     tol_fp = resolve_tol(sup_norm(f))
     for _ in range(1000):
-        rhs = f - u * s0
-        w, rep = solve(op_proper, rhs, u0=u)
+        w, rep = solve(op_proper, f - u * s0, u0=u)
         if rep.status == DIVERGED or (rep.converged and sup_norm(w) > BLOWUP_NORM):
             return None
         if not rep.converged:
@@ -684,22 +682,11 @@ def _monotone_minimal(ctx: BranchContext, op: DiscreteOperator, op_proper: Discr
         step = sup_norm(w - u)
         u = w
         resid = _residual(op, u, f)
-        if step <= 10.0 * tol_fp and resid <= guard_tol(tol_fp, op.matrix_scale(), sup_norm(u)):
-            return u
+        tol = guard_tol(tol_fp, op.matrix_scale(), sup_norm(u))
+        if step <= 10.0 * tol_fp and resid <= tol:
+            return BranchPoint(t, u, 0.0, _tags(u),
+                               SolveReport(CONVERGED, 0, [resid], [], tol, resid))
     return None
-
-
-def _fold_point(ctx: BranchContext, op: DiscreteOperator, t: float, u: GridFunction,
-                base_tol: float | None = None) -> BranchPoint:
-    """Branch point for a fold solution found outside ``solve``, reported
-    with its fresh residual against rhs(t) and the conditioning-guarded
-    tolerance; ``base_tol`` defaults to the solver's tolerance for rhs(t)."""
-    f = ctx.rhs(t)
-    resid = _residual(op, u, f)
-    if base_tol is None:
-        base_tol = resolve_tol(sup_norm(f))
-    tol = guard_tol(base_tol, op.matrix_scale(), sup_norm(u))
-    return BranchPoint(t, u, 0.0, _tags(u), SolveReport(CONVERGED, 0, [resid], [], tol, resid))
 
 
 def _minimal_branch(ctx: BranchContext, op: DiscreteOperator, ts_desc: np.ndarray
@@ -707,17 +694,17 @@ def _minimal_branch(ctx: BranchContext, op: DiscreteOperator, ts_desc: np.ndarra
     """Minimal solutions for decreasing t until existence fails; returns the
     points in increasing t and the (failed t, last solved t) bracket, or
     None if every t was solved. The proper operator of the monotone
-    iteration is shared by every t and released on return."""
-    s0 = ctx.family.max_zeroth + max(ctx.lam, 0.0) + 1.0
+    iteration, op - s0 with s0 = ``proper_shift`` + max(lam, 0), is shared
+    by every t and released on return."""
+    s0 = proper_shift(ctx.family) + max(ctx.lam, 0.0)
     op_proper = ctx.operator(ctx.lam - s0)
     points: list[BranchPoint] = []
     for t in ts_desc:
-        u0 = _negative_subsolution(ctx, op, float(t))
-        u = _monotone_minimal(ctx, op, op_proper, s0, float(t), u0)
-        if u is None:
+        point = _minimal_point(ctx, op, op_proper, s0, float(t))
+        if point is None:
             prev_t = points[-1].t if points else float(t)
             return sorted(points, key=lambda p: p.t), (float(t), prev_t)
-        points.append(_fold_point(ctx, op, float(t), u))
+        points.append(point)
     return sorted(points, key=lambda p: p.t), None
 
 
@@ -752,10 +739,10 @@ def trace_fold(cfg: BranchConfig, ctx: BranchContext | None = None
     # reference strictly below both branches makes the d coordinate a
     # decreasing parameter along the folded path
     ref_tilde = u_min_top - eigen_bump(ctx.grid) * (0.05 * (1.0 + sup_norm(u_min_top)))
-    second_points, fold_t, fold_step, fold_idx = _continue_in_d(
+    second_points, fold_step, fold_idx = _continue_in_d(
         ctx, op, u2, t_top, ref_tilde, n_samples=cfg.n_samples)
 
-    t_star = fold_t
+    t_star = second_points[fold_idx].t
     halfw = max(fold_step, 1e-8)
     consistent = True
     if fail_bracket is not None:
@@ -771,7 +758,7 @@ def trace_fold(cfg: BranchConfig, ctx: BranchContext | None = None
         kind="Fold",
         diagnostics={
             "minimal_fail_bracket": fail_bracket,
-            "continuation_fold": fold_t,
+            "continuation_fold": t_star,
             "fold_step": fold_step,
             "consistent_with_existence_scan": consistent,
         },
@@ -813,8 +800,8 @@ def _continue_in_d(ctx: BranchContext, op: DiscreteOperator, u_start: GridFuncti
     Tangent-based arclength cannot turn the fold when the two legs are
     nearly antiparallel in (u, t) (sup-type problems produce genuine
     corners); pinning d instead keeps every corrector system square and
-    well-posed on both legs. Returns (points, fold_t, step_at_fold,
-    fold_index).
+    well-posed on both legs. Returns (points, step_at_fold, fold_index);
+    the fold is at points[fold_index].t.
     """
     grid = ctx.grid
     N = grid.num_nodes
@@ -823,6 +810,10 @@ def _continue_in_d(ctx: BranchContext, op: DiscreteOperator, u_start: GridFuncti
 
     def residual(u_flat, t):
         return op.apply_flat(u_flat) - (t * phi + ctx.h.values)
+
+    def accept_tol(u_norm):
+        """Residual tolerance of a corrector step, and of each recorded point."""
+        return guard_tol(1e-10 * (1.0 + u_norm), op.matrix_scale(), u_norm)
 
     def merit(u_flat, t, c):
         return float(np.abs(residual(u_flat, t)).max()) + abs(c) * op.matrix_scale()
@@ -840,9 +831,8 @@ def _continue_in_d(ctx: BranchContext, op: DiscreteOperator, u_start: GridFuncti
             jstar = int(np.argmax(diff))
             r = residual(u, t)
             c = diff[jstar] - d_target
-            scale = 1.0 + np.abs(u).max()
-            if np.abs(r).max() <= guard_tol(1e-10 * scale, op.matrix_scale(), np.abs(u).max()) \
-                    and abs(c) <= 1e-11 * scale:
+            u_norm = np.abs(u).max()
+            if np.abs(r).max() <= accept_tol(u_norm) and abs(c) <= 1e-11 * (1.0 + u_norm):
                 return u, t, True
             lin = factors.linearize(u)
             try:
@@ -855,7 +845,7 @@ def _continue_in_d(ctx: BranchContext, op: DiscreteOperator, u_start: GridFuncti
             for _ in range(8):
                 u_try = u + theta * delta[:N]
                 t_try = t + theta * delta[N]
-                c_try = (u_try - ref)[int(np.argmax(u_try - ref))] - d_target
+                c_try = (u_try - ref).max() - d_target
                 if merit(u_try, t_try, c_try) < base * (1.0 - 1e-4) or base == 0.0:
                     u, t = u_try, t_try
                     accepted = True
@@ -866,8 +856,11 @@ def _continue_in_d(ctx: BranchContext, op: DiscreteOperator, u_start: GridFuncti
         return u, t, False
 
     def emit(u_flat, tv):
-        return _fold_point(ctx, op, tv, GridFunction(grid, u_flat, check_finite=False),
-                           1e-10 * (1.0 + np.abs(u_flat).max()))
+        """Branch point with its fresh residual and the corrector's tolerance."""
+        u = GridFunction(grid, u_flat, check_finite=False)
+        resid = float(np.abs(residual(u_flat, tv)).max())
+        tol = accept_tol(np.abs(u_flat).max())
+        return BranchPoint(tv, u, 0.0, _tags(u), SolveReport(CONVERGED, 0, [resid], [], tol, resid))
 
     u = u_start.values.copy()
     t = t_start
@@ -876,7 +869,6 @@ def _continue_in_d(ctx: BranchContext, op: DiscreteOperator, u_start: GridFuncti
     dstep = d_cur / (3.0 * max(n_samples, 4))
     dstep0 = dstep
     out_points = [emit(u, t)]
-    fold_t = t
     fold_idx = 0
     step_at_fold = dstep
     fold_seen = False
@@ -905,9 +897,9 @@ def _continue_in_d(ctx: BranchContext, op: DiscreteOperator, u_start: GridFuncti
         u_prev, t_prev, d_prev = u, t, d_cur
         u, t, d_cur = u_new, t_new, d_target
         out_points.append(emit(u, t))
+        fold_t = out_points[fold_idx].t
         if t < fold_t:
-            fold_t = t
-            fold_idx = len(out_points) - 1
+            fold_t, fold_idx = t, len(out_points) - 1
             step_at_fold = max(abs(t - t_prev), 1e-9)
         elif t > fold_t:
             fold_seen = True
@@ -919,11 +911,9 @@ def _continue_in_d(ctx: BranchContext, op: DiscreteOperator, u_start: GridFuncti
 
     # refine the fold: ternary search on the piecewise-smooth map d -> t(d)
     if fold_seen and 0 < fold_idx < len(out_points) - 1:
-        ds = [float((p.u.values - ref).max()) for p in out_points]
-        d_hi, d_lo = ds[fold_idx - 1], ds[fold_idx + 1]
-        anchor = (out_points[fold_idx].u.values.copy(), out_points[fold_idx].t,
-                  ds[fold_idx])
-        evals = [anchor]
+        d_hi, d_fold, d_lo = (float((out_points[i].u.values - ref).max())
+                              for i in (fold_idx - 1, fold_idx, fold_idx + 1))
+        evals = [(out_points[fold_idx].u.values.copy(), out_points[fold_idx].t, d_fold)]
 
         def t_of(d_target):
             near = min(evals, key=lambda e: abs(e[2] - d_target))
@@ -948,16 +938,14 @@ def _continue_in_d(ctx: BranchContext, op: DiscreteOperator, u_start: GridFuncti
                 b = m2
             else:
                 a = m1
-        if not refine_failed and evals:
+        if not refine_failed:
+            # the fold point is in evals, so best is at or below it
             best = min(evals, key=lambda e: e[1])
-            if best[1] <= fold_t:
-                fold_t = best[1]
-                near = sorted(evals, key=lambda e: abs(e[2] - best[2]))[:5]
-                spread = max(e[1] for e in near) - fold_t
-                step_at_fold = max(spread, 1e-10)
-                out_points.insert(fold_idx + 1, emit(best[0], best[1]))
-                fold_idx = fold_idx + 1
-    return out_points, fold_t, step_at_fold, fold_idx
+            near = sorted(evals, key=lambda e: abs(e[2] - best[2]))[:5]
+            step_at_fold = max(max(e[1] for e in near) - best[1], 1e-10)
+            out_points.insert(fold_idx + 1, emit(best[0], best[1]))
+            fold_idx += 1
+    return out_points, step_at_fold, fold_idx
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ preserves the sign cone of the start (comparison principle of the
 proper shifted operator), so a positive start converges to the positive
 principal pair and a negative start to the negative one. Each inner
 problem is uniquely solvable and handled by policy iteration. The
-negative pair is the positive pair of ``family.mirror()`` with phi negated.
+negative pair comes from a negative start on the family itself; the
+positive pair of ``family.mirror()``, with phi negated, equals it bit for
+bit, and the tests use that identity as an oracle.
 """
 
 from __future__ import annotations

@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import FreshFactors, discrete_lam1, forgetful_linearize, uniqueness_probe_at
 import hjbranch.branches
 import hjbranch.checks
+import hjbranch.cli
 from hjbranch.checks import CheckSpec, _teo6_family, run_suite
 from hjbranch.errors import ConfigurationError, RegimeError, RegimeMismatchError
 from hjbranch.grids import GridFunction, build_grid, sup_norm
@@ -593,3 +596,30 @@ def test_fold_factorization_count_stays_below_policy_iterations(monkeypatch):
     assert factorizations[0] <= policy_iters[0] // 4
     # the corrector reuses its bordered factors: 2 on this path
     assert 1 <= bordered[0] <= 2
+
+
+@pytest.fixture(scope="module", params=["fucik_fold", "fucik(26) 15x15"])
+def fold_trace(request):
+    """The shipped 1D fold scenario (n=199) and the small 2D fold."""
+    if request.param == "fucik_fold":
+        scenario = hjbranch.cli.parse_scenario(
+            str(Path(hjbranch.cli.__file__).parent / "scenarios" / "fucik_fold.json"))
+        cfg = scenario.branch_config()
+    else:
+        cfg = _small_fold_cfg()
+    ctx = prepare(cfg)
+    return ctx, trace_fold(cfg, ctx)
+
+
+def test_every_fold_point_reports_its_fresh_residual_within_its_tolerance(fold_trace):
+    ctx, (minimal, second, _) = fold_trace
+    op = ctx.operator()
+    for p in minimal.points + second.points:
+        fresh = float(np.abs(op.apply_flat(p.u.values) - ctx.rhs(p.t).values).max())
+        assert p.solve.final_residual == fresh
+        assert p.solve.final_residual <= p.solve.tol
+
+
+def test_fold_t_star_is_the_t_of_the_fold_point(fold_trace):
+    _, (_, second, crit) = fold_trace
+    assert crit.t_star == second.points[second.diagnostics["fold_index"]].t

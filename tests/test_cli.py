@@ -263,6 +263,28 @@ def test_tstar_needs_lam_at_an_eigenvalue(tmp_path, capsys, name, lam):
     assert not (out / "tstar.json").exists()
 
 
+@pytest.mark.parametrize("command", ["branch", "tstar", "solve"])
+def test_h_fun_along_the_positive_eigenfunction_exits_2_with_its_path(tmp_path, capsys,
+                                                                       command):
+    """sin(pi x) is the positive eigenfunction of a Fucik family in 1D."""
+    data = {**minimal_scenario(), "family": {"kind": "fucik", "b_plus": 5.0, "b_minus": 0.0},
+            "lam": 0.0, "h_fun": {"kind": "sine", "amplitudes": [2.0]}}
+    code = cli.main([command, write_scenario(tmp_path, data), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith("error: h_fun: ")
+
+
+def test_resonant_branch_below_t_star_plus_one_exits_2_with_its_path(tmp_path, capsys):
+    data = json.loads((SCENARIOS / "resonance_minus.json").read_text())
+    data["grid"]["n"] = [99]
+    data["branch"]["t_range"] = [-3.0, 0.5]  # t* ~ -0.26
+    out = tmp_path / "br"
+    code = cli.main(["branch", write_scenario(tmp_path, data), "--out", str(out)])
+    assert code == cli.EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith("error: branch.t_range: ")
+    assert not (out / "summary.json").exists()
+
+
 def test_branch_above_negative_window_exits_2_before_any_sweep(tmp_path, capsys, monkeypatch):
     def no_sweep(*args):
         raise AssertionError("the sweep ran")

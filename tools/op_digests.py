@@ -21,10 +21,14 @@ lies above the eigen residual target's 1e-9, and ``branch`` then ``diagram``
 in one output directory on the shipped ``fucik_fold`` and ``resonance_minus``
 (the diagram reads back the branch CSVs and ``tstar.json``), and ``suite`` at
 seed 7 on a 2D copy of ``laplacian_eigen`` on [0, 1.5]^2 at 11^2, the one run
-of the check battery on a 2D grid. Three refusals close it: ``branch`` on
+of the check battery on a 2D grid. Five refusals close it: ``branch`` on
 ``fucik_subcritical`` at lam 20 (above the negative-regime window), ``tstar``
-on ``fucik_subcritical`` at lam 0 (at neither eigenvalue) and ``suite`` on a 1D
-[0, 2] copy of ``laplacian_eigen`` at n=49 (T1.1 outside its regime). Its
+on ``fucik_subcritical`` at lam 0 (at neither eigenvalue), ``suite`` on a 1D
+[0, 2] copy of ``laplacian_eigen`` at n=49 (T1.1 outside its regime),
+``branch`` on a 1D Fucik family at n=49 whose ``h_fun`` is the positive
+eigenfunction (path ``h_fun``) and ``branch`` on ``resonance_minus`` at n=99
+with ``t_range`` [-3, 0.5], which ends less than 1 above t* ~ -0.26 (path
+``branch.t_range``). Its
 ``ok`` means the expected exit code: 2 for the refusals, 4 for ``solve`` at
 -0.5 on ``fucik_fold`` (t* = 0, as h = 0) and ``resonance_minus`` (t* ~ -0.26),
 and 0 for the rest; the digest covers the exit code, standard error and every
@@ -104,6 +108,14 @@ def cli_lines(smoke: bool, workdir: Path) -> list[str]:
     data = json.loads((shipped / "laplacian_eigen.json").read_text(encoding="utf-8"))
     data["grid"] = {"dim": 1, "extents": [[0.0, 2.0]], "n": [49]}
     cases.append(("suite laplacian_eigen [0, 2] n=49", "suite", data, None, 2))
+    data = {"grid": {"dim": 1, "extents": [[0.0, 1.0]], "n": [49]},
+            "family": {"kind": "fucik", "b_plus": 5.0, "b_minus": 0.0}, "lam": 0.0,
+            "h_fun": {"kind": "sine", "amplitudes": [2.0]}}
+    cases.append(("branch fucik n=49 h_fun=phi_1^+", "branch", data, None, 2))
+    data = json.loads((shipped / "resonance_minus.json").read_text(encoding="utf-8"))
+    data["grid"]["n"] = [99]
+    data["branch"]["t_range"] = [-3.0, 0.5]
+    cases.append(("branch resonance_minus n=99 t_range=[-3, 0.5]", "branch", data, None, 2))
     workdir.mkdir(parents=True)
     lines = []
     for i, (label, command, data, shared_out, expected) in enumerate(cases):
