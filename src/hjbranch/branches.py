@@ -28,7 +28,8 @@ three levels).
 In the non-uniqueness regimes the inner solver returns whichever
 solution its basin reaches; all multi-solution statements here steer
 basins explicitly through start ladders, and every emitted branch point
-reports the residual of a fresh operator application on its own u.
+reports the residual of an operator application on its own u (for a
+continuation point, the one its corrector accepted).
 """
 
 from __future__ import annotations
@@ -533,7 +534,7 @@ def trace_resonant_branch(cfg: BranchConfig, crit: CriticalReport,
             f"branch.t_range: must extend at least 1.0 above t_star (ends at {t_max}, "
             f"t_star = {t_star})")
 
-    margins = [m for m in (2.0 ** (-j) for j in range(0, 11)) if t_star + m < t_max]
+    margins = [2.0 ** (-j) for j in range(0, 11)]
     outer = np.linspace(t_max, t_star + 1.0, max(cfg.n_samples, 5))
     ts_desc = sorted(set(list(outer) + [t_star + m for m in margins]), reverse=True)
 
@@ -543,96 +544,81 @@ def trace_resonant_branch(cfg: BranchConfig, crit: CriticalReport,
                     skip_unsolved=sign == "-")
     if not points:
         raise RegimeError(f"resonant sweep solved no t in [{t_star}, {t_max}]")
-    probes: dict[float, dict] = {}
-    if sign == "+":
-        for p in [p for p in points if p.t >= t_star + 0.05][:6]:
-            probes[p.t] = _uniqueness_probe(op, ctx.rhs(p.t), ctx, scale0, 10.0 * p.solve.tol)
+    # sign '+' probes uniqueness at the first six points 0.05 or more above t*
+    probed = [p for p in points if p.t >= t_star + 0.05][:6] if sign == "+" else []
+    probes = {p.t: _uniqueness_probe(op, ctx.rhs(p.t), ctx, scale0, 10.0 * p.solve.tol)
+              for p in probed}
 
     points.sort(key=lambda p: p.t)
     ref_t = 1.0 + t_star
     ref = min(points, key=lambda p: abs(p.t - ref_t)).u
     _set_d(points, ref)
 
-    diagnostics: dict = {"uniqueness_probes": probes, "t_star": t_star}
-
+    # the ray u* + s*phi through the point nearest t*
+    u_star = points[0].u
+    ray, ray_tol = _ray_check(op, ctx, points, t_star, bracket_halfwidth, pair.phi,
+                              (1.0, 2.0, 5.0) if sign == "+" else (1.0, 2.0, 5.0, 50.0))
     near = [p for p in points if p.t <= t_star + margins[0] + 1e-12]
-    norms_near = [(p.t - t_star, sup_norm(p.u)) for p in near]
-    diagnostics["near_norms"] = norms_near
+    diagnostics: dict = {"uniqueness_probes": probes, "t_star": t_star,
+                         "near_norms": [(p.t - t_star, sup_norm(p.u)) for p in near],
+                         "ray_residuals": ray, "ray_tol": ray_tol}
 
     if sign == "+":
         big = [p for p in points if p.t - t_star >= 0.4]
-        if points[0].t - t_star <= 2.0 * margins[-1]:
-            u_star = points[0].u
-            ray, ray_tol = _ray_check(op, ctx, points, t_star, bracket_halfwidth, u_star,
-                                      pair.phi, (1.0, 2.0, 5.0))
-            bounded = sup_norm(u_star) <= 10.0 * (1.0 + max(sup_norm(p.u) for p in big)) \
-                if big else True
-            if bounded and all(r <= ray_tol for r in ray.values()):
-                diagnostics["alternative"] = "ii"
-                diagnostics["u_star_norm"] = sup_norm(u_star)
-            elif not bounded and direction_cosine(u_star, pair.phi) >= 0.99 \
-                    and u_star.min() > 0:
-                diagnostics["alternative"] = "i"
-            else:
-                diagnostics["alternative"] = "open"
-            diagnostics["ray_residuals"] = ray
-            diagnostics["ray_tol"] = ray_tol
-            # the dichotomy is only settled for the asymmetric-weight kind
-            # with homogeneous h; elsewhere the label is evidence, not a
-            # certificate
-            diagnostics["alternative_certified"] = (
-                ctx.family.kind == "fucik" and sup_norm(ctx.h) == 0.0
-                and diagnostics["alternative"] == "ii")
-    else:
-        # unbounded negative sector: eigen-direction ladder at the smallest
-        # bounded margin; large solutions must be negative with interior decay
-        anchor = points[0].u
-        scales = (1.0, 2.0, 5.0, 50.0)
-        ray, ray_tol = _ray_check(op, ctx, points, t_star, bracket_halfwidth, anchor,
-                                  pair.phi, scales)
-        ladder_stats = []
-        for s in scales:
-            cand = anchor + pair.phi * s
-            ladder_stats.append({
-                "s": s,
-                "norm": sup_norm(cand),
-                "negative": cand.max() < 0,
-                "interior_max": interior_max(cand),
-            })
-        diagnostics["ray_residuals"] = ray
-        diagnostics["ray_tol"] = ray_tol
-        diagnostics["negative_sector"] = ladder_stats
-        # non-existence probe below / existence above the critical value
-        census_below = basin_census(op, ctx.rhs(t_star - 0.5), ctx.ladder(scale0))
-        census_above = basin_census(op, ctx.rhs(t_star + 0.5),
-                                    ctx.ladder(scale0) + [points[0].u])
-        diagnostics["nonexistence_below"] = len(census_below) == 0
-        diagnostics["existence_above"] = len(census_above) >= 1
-
-    # ordering and convexity along the swept (unique/minimal) part
-    ordered = points if sign == "+" else [p for p in points if p.t >= t_star + 0.05]
-    diagnostics.update(_ordering(ordered))
-    if sign == "+":
+        bounded = sup_norm(u_star) <= 10.0 * (1.0 + max(sup_norm(p.u) for p in big))
+        if bounded and all(r <= ray_tol for r in ray.values()):
+            diagnostics["alternative"] = "ii"
+            diagnostics["u_star_norm"] = sup_norm(u_star)
+        elif not bounded and direction_cosine(u_star, pair.phi) >= 0.99 \
+                and u_star.min() > 0:
+            diagnostics["alternative"] = "i"
+        else:
+            diagnostics["alternative"] = "open"
+        # the dichotomy is only settled for the asymmetric-weight kind
+        # with homogeneous h; elsewhere the label is evidence, not a
+        # certificate
+        diagnostics["alternative_certified"] = (
+            ctx.family.kind == "fucik" and sup_norm(ctx.h) == 0.0
+            and diagnostics["alternative"] == "ii")
+        # ordering and convexity along the unique branch
+        diagnostics.update(_ordering(points))
         _require_ordered(diagnostics, "resonant branch")
         bad = [t for t, pr in probes.items() if not pr["agree"]]
         if bad:
             raise RegimeError(f"uniqueness probe failed at t={bad}")
+    else:
+        # unbounded negative sector along the ray: large solutions must be
+        # negative with interior decay
+        sector = []
+        for s in ray:
+            cand = u_star + pair.phi * s
+            sector.append({"s": s, "norm": sup_norm(cand), "negative": cand.max() < 0,
+                           "interior_max": interior_max(cand)})
+        diagnostics["negative_sector"] = sector
+        # non-existence probe below / existence above the critical value
+        census_below = basin_census(op, ctx.rhs(t_star - 0.5), ctx.ladder(scale0))
+        census_above = basin_census(op, ctx.rhs(t_star + 0.5),
+                                    ctx.ladder(scale0) + [u_star])
+        diagnostics["nonexistence_below"] = len(census_below) == 0
+        diagnostics["existence_above"] = len(census_above) >= 1
+        # ordering and convexity along the bounded (minimal) part
+        diagnostics.update(_ordering([p for p in points if p.t >= t_star + 0.05]))
     return Branch(points, diagnostics)
 
 
 def _ray_check(op: DiscreteOperator, ctx: BranchContext, points: list[BranchPoint],
-               t_star: float, bracket_halfwidth: float, anchor: GridFunction,
-               phi: GridFunction, scales) -> tuple[dict, float]:
-    """Residuals of anchor + s*phi in the t* equation for each s, and the
-    tolerance they are held to: the t* bracket plus the distance of the
+               t_star: float, bracket_halfwidth: float, phi: GridFunction,
+               scales) -> tuple[dict, float]:
+    """Residuals of points[0].u + s*phi in the t* equation for each s, and
+    the tolerance they are held to: the t* bracket plus the distance of the
     first point from t* times the local Lipschitz estimate of the branch."""
     lip = 0.0
     if len(points) > 1:
         p, q = points[0], points[1]
-        lip = sup_norm(p.u - q.u) / max(q.t - p.t, 1e-300)
+        lip = sup_norm(p.u - q.u) / (q.t - p.t)
     ray_tol = 2.0 * (bracket_halfwidth + (points[0].t - t_star) * max(lip, 1.0)) + 1e-8
     f_star = ctx.rhs(t_star)
-    return {s: _residual(op, anchor + phi * s, f_star) for s in scales}, ray_tol
+    return {s: _residual(op, points[0].u + phi * s, f_star) for s in scales}, ray_tol
 
 
 # ---------------------------------------------------------------------------
@@ -815,50 +801,50 @@ def _continue_in_d(ctx: BranchContext, op: DiscreteOperator, u_start: GridFuncti
         """Residual tolerance of a corrector step, and of each recorded point."""
         return guard_tol(1e-10 * (1.0 + u_norm), op.matrix_scale(), u_norm)
 
-    def merit(u_flat, t, c):
-        return float(np.abs(residual(u_flat, t)).max()) + abs(c) * op.matrix_scale()
-
     # the corrector's policy alternates between two values along the path;
     # each remembered linearization keeps the factor of its last bordered system
     factors = TwoPolicyFactors(op)
     column = -phi
 
     def correct(u0, t0, d_target):
-        """Semismooth Newton on [F_h residual; (u - ref)[argmax] - d_target]."""
+        """Semismooth Newton on [F_h residual; (u - ref)[argmax] - d_target].
+        Returns (u, t, resid, ok), resid being the sup residual at (u, t);
+        F_h is applied once at the start and once per line-search trial."""
         u, t = u0.copy(), t0
+        r = residual(u, t)
         for _ in range(20):
             diff = u - ref
             jstar = int(np.argmax(diff))
-            r = residual(u, t)
             c = diff[jstar] - d_target
+            resid = float(np.abs(r).max())
             u_norm = np.abs(u).max()
-            if np.abs(r).max() <= accept_tol(u_norm) and abs(c) <= 1e-11 * (1.0 + u_norm):
-                return u, t, True
+            if resid <= accept_tol(u_norm) and abs(c) <= 1e-11 * (1.0 + u_norm):
+                return u, t, resid, True
             lin = factors.linearize(u)
             try:
                 delta = lin.solve_bordered(column, jstar, -np.concatenate([r, [c]]))
             except np.linalg.LinAlgError:
-                return u, t, False
-            base = merit(u, t, c)
+                return u, t, resid, False
+            base = resid + abs(c) * op.matrix_scale()
             theta = 1.0
-            accepted = False
             for _ in range(8):
                 u_try = u + theta * delta[:N]
                 t_try = t + theta * delta[N]
+                r_try = residual(u_try, t_try)
                 c_try = (u_try - ref).max() - d_target
-                if merit(u_try, t_try, c_try) < base * (1.0 - 1e-4) or base == 0.0:
-                    u, t = u_try, t_try
-                    accepted = True
+                if (float(np.abs(r_try).max()) + abs(c_try) * op.matrix_scale()
+                        < base * (1.0 - 1e-4) or base == 0.0):
+                    u, t, r = u_try, t_try, r_try
                     break
                 theta *= 0.5
-            if not accepted:
-                return u, t, False
-        return u, t, False
+            else:
+                return u, t, resid, False
+        return u, t, float(np.abs(r).max()), False
 
-    def emit(u_flat, tv):
-        """Branch point with its fresh residual and the corrector's tolerance."""
+    def emit(u_flat, tv, resid):
+        """Branch point with the residual its corrector accepted and the
+        corrector's tolerance."""
         u = GridFunction(grid, u_flat, check_finite=False)
-        resid = float(np.abs(residual(u_flat, tv)).max())
         tol = accept_tol(np.abs(u_flat).max())
         return BranchPoint(tv, u, 0.0, _tags(u), SolveReport(CONVERGED, 0, [resid], [], tol, resid))
 
@@ -868,7 +854,7 @@ def _continue_in_d(ctx: BranchContext, op: DiscreteOperator, u_start: GridFuncti
     d_floor = 1e-3 * d_cur
     dstep = d_cur / (3.0 * max(n_samples, 4))
     dstep0 = dstep
-    out_points = [emit(u, t)]
+    out_points = [emit(u, t, float(np.abs(residual(u, t)).max()))]
     fold_idx = 0
     step_at_fold = dstep
     fold_seen = False
@@ -888,7 +874,7 @@ def _continue_in_d(ctx: BranchContext, op: DiscreteOperator, u_start: GridFuncti
                 t_pred = t + (t - t_prev) * w
             else:
                 u_pred, t_pred = u, t
-            u_new, t_new, ok = correct(u_pred, t_pred, d_target)
+            u_new, t_new, resid_new, ok = correct(u_pred, t_pred, d_target)
             if ok:
                 break
             trial *= 0.5
@@ -896,7 +882,7 @@ def _continue_in_d(ctx: BranchContext, op: DiscreteOperator, u_start: GridFuncti
             raise FoldTraceError("continuation step failed below minimal step size")
         u_prev, t_prev, d_prev = u, t, d_cur
         u, t, d_cur = u_new, t_new, d_target
-        out_points.append(emit(u, t))
+        out_points.append(emit(u, t, resid_new))
         fold_t = out_points[fold_idx].t
         if t < fold_t:
             fold_t, fold_idx = t, len(out_points) - 1
@@ -913,14 +899,17 @@ def _continue_in_d(ctx: BranchContext, op: DiscreteOperator, u_start: GridFuncti
     if fold_seen and 0 < fold_idx < len(out_points) - 1:
         d_hi, d_fold, d_lo = (float((out_points[i].u.values - ref).max())
                               for i in (fold_idx - 1, fold_idx, fold_idx + 1))
-        evals = [(out_points[fold_idx].u.values.copy(), out_points[fold_idx].t, d_fold)]
+        fold_point = out_points[fold_idx]
+        # (u, t, d, resid): only the scalar residual is kept with each point
+        evals = [(fold_point.u.values.copy(), fold_point.t, d_fold,
+                  fold_point.solve.final_residual)]
 
         def t_of(d_target):
             near = min(evals, key=lambda e: abs(e[2] - d_target))
-            u_new, t_new, ok = correct(near[0], near[1], d_target)
+            u_new, t_new, resid_new, ok = correct(near[0], near[1], d_target)
             if not ok:
                 return None
-            evals.append((u_new, t_new, d_target))
+            evals.append((u_new, t_new, d_target, resid_new))
             return t_new
 
         a, b = d_lo, d_hi
@@ -943,7 +932,7 @@ def _continue_in_d(ctx: BranchContext, op: DiscreteOperator, u_start: GridFuncti
             best = min(evals, key=lambda e: e[1])
             near = sorted(evals, key=lambda e: abs(e[2] - best[2]))[:5]
             step_at_fold = max(max(e[1] for e in near) - best[1], 1e-10)
-            out_points.insert(fold_idx + 1, emit(best[0], best[1]))
+            out_points.insert(fold_idx + 1, emit(best[0], best[1], best[3]))
             fold_idx += 1
     return out_points, step_at_fold, fold_idx
 
@@ -997,8 +986,7 @@ def sweep_negative_regime(cfg: BranchConfig, ctx: BranchContext | None = None) -
         "gap": gap,
     }
     h_scale = 1.0 + sup_norm(ctx.h)
-    if cfg.t_range[0] <= -5.0 * h_scale and (
-            t_minus_probe is None or points[0].u.max() >= 0):
+    if cfg.t_range[0] <= -5.0 * h_scale and t_minus_probe is None:
         raise RegimeError("very negative t did not produce a negative solution")
     if cfg.t_range[1] >= 10.0 * h_scale and not (sup_top > sup_mid > 0):
         raise RegimeError("sup u growth probe failed for large t")

@@ -387,6 +387,7 @@ def _cmd_branch(sc: Scenario, out: Path) -> int:
         write_branch(out / "branch_minimal.csv", branch, phi)
         write_branch(out / "branch_second.csv", second, phi)
         diagnostics = {"minimal": branch.diagnostics, "fold": crit.diagnostics}
+        dumped = branch.points + second.points
     else:
         if ctx.regime == "subcritical":
             branch = br.sweep_subcritical(cfg, ctx)
@@ -397,13 +398,14 @@ def _cmd_branch(sc: Scenario, out: Path) -> int:
             branch = br.trace_resonant_branch(cfg, crit, ctx)
         write_branch(out / "branch.csv", branch, phi)
         diagnostics = branch.diagnostics
+        dumped = branch.points
     if crit is not None:
         summary["t_star"] = crit.t_star
         summary["bracket"] = list(crit.bracket)
         write_json(out / "tstar.json", crit)
     summary["diagnostics"] = diagnostics
     if sc.data["dump_points"]:
-        for i, p in enumerate(branch.points):
+        for i, p in enumerate(dumped):
             write_grid_function(out / f"point_{i:04d}.csv", p.u)
     write_jsonl(out / "trace.jsonl", [p.solve for p in branch.points])
     write_json(out / "summary.json", summary)

@@ -308,6 +308,21 @@ def test_branch_inside_negative_window_sweeps(tmp_path):
     assert json.loads((out / "summary.json").read_text())["regime"] == "negative"
 
 
+def test_branch_at_lam_plus_reports_the_bounded_alternative(tmp_path):
+    data = json.loads((SCENARIOS / "fucik_subcritical.json").read_text())
+    data["grid"]["n"] = [49]
+    data["lam"] = {"mode": "at_lam_plus", "offset": 0.0}
+    out = tmp_path / "br"
+    assert cli.main(["branch", write_scenario(tmp_path, data), "--out", str(out)]) == 0
+    crit = json.loads((out / "tstar.json").read_text())
+    assert crit["kind"] == "ResonancePlus"
+    lo, hi = crit["bracket"]
+    assert lo < 0.0 < hi  # h = 0, so t* = 0
+    diagnostics = json.loads((out / "summary.json").read_text())["diagnostics"]
+    assert diagnostics["alternative"] == "ii"
+    assert max(diagnostics["ray_residuals"].values()) <= diagnostics["ray_tol"]
+
+
 def test_tstar_on_shipped_resonance_scenario(tmp_path):
     out = tmp_path / "ts"
     assert cli.main(["tstar", str(SCENARIOS / "resonance_minus.json"), "--out", str(out)]) == 0
@@ -400,6 +415,27 @@ def test_dump_points_writes_fields(tmp_path):
     assert code == 0
     assert sorted(p.name for p in out.glob("point_*.csv")) == \
         [f"point_{i:04d}.csv" for i in range(4)]
+
+
+def _csv_rows(path):
+    header, *lines = path.read_text().strip().split("\n")
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
+def test_dump_points_writes_both_fold_branches_in_csv_order(tmp_path):
+    data = json.loads((SCENARIOS / "fucik_fold.json").read_text())
+    data["grid"]["n"] = [49]
+    data["dump_points"] = True
+    out = tmp_path / "fold"
+    assert cli.main(["branch", write_scenario(tmp_path, data), "--out", str(out)]) == 0
+    minimal = _csv_rows(out / "branch_minimal.csv")
+    rows = minimal + _csv_rows(out / "branch_second.csv")
+    assert len(rows) > len(minimal)
+    assert sorted(p.name for p in out.glob("point_*.csv")) == \
+        [f"point_{i:04d}.csv" for i in range(len(rows))]
+    for i, row in enumerate(rows):
+        values = [float(r["value"]) for r in _csv_rows(out / f"point_{i:04d}.csv")]
+        assert (min(values), max(values)) == (float(row["min_u"]), float(row["max_u"]))
 
 
 def test_run_json_contents(tmp_path):

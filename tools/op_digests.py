@@ -21,19 +21,21 @@ lies above the eigen residual target's 1e-9, and ``branch`` then ``diagram``
 in one output directory on the shipped ``fucik_fold`` and ``resonance_minus``
 (the diagram reads back the branch CSVs and ``tstar.json``), and ``suite`` at
 seed 7 on a 2D copy of ``laplacian_eigen`` on [0, 1.5]^2 at 11^2, the one run
-of the check battery on a 2D grid. Five refusals close it: ``branch`` on
+of the check battery on a 2D grid. Five refusals follow: ``branch`` on
 ``fucik_subcritical`` at lam 20 (above the negative-regime window), ``tstar``
 on ``fucik_subcritical`` at lam 0 (at neither eigenvalue), ``suite`` on a 1D
 [0, 2] copy of ``laplacian_eigen`` at n=49 (T1.1 outside its regime),
 ``branch`` on a 1D Fucik family at n=49 whose ``h_fun`` is the positive
 eigenfunction (path ``h_fun``) and ``branch`` on ``resonance_minus`` at n=99
 with ``t_range`` [-3, 0.5], which ends less than 1 above t* ~ -0.26 (path
-``branch.t_range``). Its
-``ok`` means the expected exit code: 2 for the refusals, 4 for ``solve`` at
--0.5 on ``fucik_fold`` (t* = 0, as h = 0) and ``resonance_minus`` (t* ~ -0.26),
-and 0 for the rest; the digest covers the exit code, standard error and every
-output file except ``run.json`` (after ``diagram``, the branch files too). It
-does not depend on ``--seed``.
+``branch.t_range``). Two ``branch`` runs on the shipped ``fucik_subcritical``
+close it, the only ones through the regime at lam_1^+ (lam offset 0; t* = 0,
+as h = 0) and the negative regime (lam_1^- + 0.1). Its ``ok`` means the
+expected exit code: 2 for the refusals, 4 for ``solve`` at -0.5 on
+``fucik_fold`` (t* = 0) and ``resonance_minus`` (t* ~ -0.26), and 0 for the
+rest; the digest covers the exit code, standard error and every output file
+except ``run.json`` (after ``diagram``, the branch files too). It does not
+depend on ``--seed``.
 """
 
 from __future__ import annotations
@@ -116,6 +118,10 @@ def cli_lines(smoke: bool, workdir: Path) -> list[str]:
     data["grid"]["n"] = [99]
     data["branch"]["t_range"] = [-3.0, 0.5]
     cases.append(("branch resonance_minus n=99 t_range=[-3, 0.5]", "branch", data, None, 2))
+    data = json.loads((shipped / "fucik_subcritical.json").read_text(encoding="utf-8"))
+    for mode, offset in (("at_lam_plus", 0.0), ("at_lam_minus", 0.1)):
+        cases.append((f"branch fucik_subcritical lam={mode}{offset:+}", "branch",
+                      {**data, "lam": {"mode": mode, "offset": offset}}, None, 0))
     workdir.mkdir(parents=True)
     lines = []
     for i, (label, command, data, shared_out, expected) in enumerate(cases):
